@@ -30,6 +30,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.observe.events import EventLog, load_events
+from repro.store.journal import replace_atomically
 
 __all__ = [
     "FlightRecorder",
@@ -117,8 +118,6 @@ def write_heartbeat(
 ) -> None:
     """Atomically refresh one shard's heartbeat file."""
     os.makedirs(directory, exist_ok=True)
-    path = heartbeat_path(directory, shard_id)
-    tmp = "{}.tmp{}".format(path, os.getpid())
     payload = {
         "shard": shard_id,
         "completed": completed,
@@ -127,9 +126,7 @@ def write_heartbeat(
         "ts": round(time.time(), 6),
         "pid": os.getpid(),
     }
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-    os.replace(tmp, path)
+    replace_atomically(heartbeat_path(directory, shard_id), json.dumps(payload, sort_keys=True))
 
 
 def read_heartbeats(directory: str) -> Dict[int, Dict[str, Any]]:
@@ -232,11 +229,7 @@ class StatusWriter:
                 uptime_s=round(now - self._started, 3),
             )
         status = self.compose(run, read_heartbeats(self.directory), now, self.stall_after_s)
-        tmp = "{}.tmp{}".format(self.path, os.getpid())
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(status, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, self.path)
+        replace_atomically(self.path, json.dumps(status, indent=1, sort_keys=True) + "\n")
         return status
 
     # -- lifecycle -------------------------------------------------------------

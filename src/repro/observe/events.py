@@ -28,11 +28,12 @@ lost or torn.  Two sink modes exist because two consumers need them:
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
+
+from repro.store.journal import read_complete_lines, replace_atomically
 
 __all__ = [
     "EVENT_LEVELS",
@@ -139,12 +140,10 @@ class EventLog:
 
     def _rewrite_locked(self) -> None:
         """Atomically replace the sink with the current ring contents."""
-        tmp = "{}.tmp{}".format(self.sink, os.getpid())
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for event in self._ring:
-                handle.write(json.dumps(event.to_dict(), sort_keys=True))
-                handle.write("\n")
-        os.replace(tmp, self.sink)
+        replace_atomically(
+            self.sink,
+            "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in self._ring),
+        )
 
     # -- read ------------------------------------------------------------------
 
@@ -205,20 +204,16 @@ def load_events(path: str) -> List[Dict[str, Any]]:
 
     An ``append``-mode sink killed mid-write can leave a partial last
     record; post-mortem tooling must still read everything before it.
-    A torn line anywhere *else* is real corruption and raises.
+    The owned-journal rule of :mod:`repro.store.journal` applies: the
+    unterminated tail is not a record, and a corrupt line before it is
+    real corruption and raises.  Blank lines are skipped.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
     events: List[Dict[str, Any]] = []
-    for position, line in enumerate(lines):
+    for line_no, line in enumerate(read_complete_lines(path)[0], start=1):
         if not line.strip():
             continue
         try:
             events.append(json.loads(line))
-        except json.JSONDecodeError:
-            if position == len(lines) - 1:
-                break  # torn tail: the crash the recorder exists to survive
-            raise ValueError(
-                "{}:{}: unparseable event record".format(path, position + 1)
-            )
+        except ValueError:
+            raise ValueError("{}:{}: unparseable event record".format(path, line_no))
     return events
