@@ -10,15 +10,15 @@ the loaded binary itself.
 Reproduced contract: consume only the coarse observables a syscall tracer
 would see (file IO counts, network fetches, SMS, uploads), build per-app
 vectors, and classify by distance to the centroid of known-benign runs --
-a 2-means-style split implemented with numpy.
+a 2-means-style split in plain stdlib arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from statistics import fmean, pstdev
+from typing import List, Optional, Sequence, Tuple
 
 from repro.dynamic.engine import DynamicReport
 from repro.runtime.device import Device
@@ -39,8 +39,8 @@ class SyscallVector:
     sms: int
     uploads: int
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in VECTOR_FIELDS], dtype=float)
+    def as_array(self) -> Tuple[float, ...]:
+        return tuple(float(getattr(self, f)) for f in VECTOR_FIELDS)
 
     @classmethod
     def from_run(cls, package: str, device: Device) -> "SyscallVector":
@@ -77,28 +77,31 @@ class CrowdroidMonitor:
 
     def __init__(self, threshold_sigmas: float = 3.0) -> None:
         self.threshold_sigmas = threshold_sigmas
-        self._centroid: Optional[np.ndarray] = None
-        self._scale: Optional[np.ndarray] = None
+        self._centroid: Optional[List[float]] = None
+        self._scale: Optional[List[float]] = None
         self._cutoff: Optional[float] = None
 
     def fit(self, benign_vectors: Sequence[SyscallVector]) -> None:
         if not benign_vectors:
             raise ValueError("need at least one benign vector")
-        matrix = np.vstack([v.as_array() for v in benign_vectors])
-        self._centroid = matrix.mean(axis=0)
-        self._scale = matrix.std(axis=0)
-        self._scale[self._scale == 0.0] = 1.0
-        distances = np.linalg.norm((matrix - self._centroid) / self._scale, axis=1)
-        self._cutoff = distances.mean() + self.threshold_sigmas * max(
-            distances.std(), 1e-9
+        matrix = [v.as_array() for v in benign_vectors]
+        columns = list(zip(*matrix))
+        self._centroid = [fmean(column) for column in columns]
+        self._scale = [pstdev(column) or 1.0 for column in columns]
+        distances = [self._scaled_norm(row) for row in matrix]
+        self._cutoff = fmean(distances) + self.threshold_sigmas * max(
+            pstdev(distances), 1e-9
         )
+
+    def _scaled_norm(self, row: Sequence[float]) -> float:
+        return math.hypot(*(
+            (x - c) / s for x, c, s in zip(row, self._centroid, self._scale)
+        ))
 
     def distance(self, vector: SyscallVector) -> float:
         if self._centroid is None:
             raise RuntimeError("monitor not fitted")
-        return float(
-            np.linalg.norm((vector.as_array() - self._centroid) / self._scale)
-        )
+        return self._scaled_norm(vector.as_array())
 
     def is_anomalous(self, vector: SyscallVector) -> bool:
         return self.distance(vector) > (self._cutoff or 0.0)

@@ -34,20 +34,53 @@ Commands:
 - ``analyze``  -- deep-dive one generated app (static + dynamic + verdicts);
 - ``families`` -- list the malware family corpus DroidNative trains on;
 - ``trace``    -- inspect a trace file written with ``--trace-out``.
+
+A flag that several verbs accept is declared once, in an ``_add_*_flags``
+group; every leaf verb names its handler with ``set_defaults``; and one
+error exit, ``_exit_on``, turns the project's named errors into a
+``"<verb>: <message>"`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
+from dataclasses import asdict
 from typing import List, Optional
 
+# Everything imported here is already loaded by the pipeline import below;
+# handlers import lazily only what it does not load (farm, service,
+# evolution, corpus storage), which keeps the daemon's start-up cheap.
 from repro.core.config import DyDroidConfig
 from repro.core.pipeline import DyDroid
 from repro.corpus.generator import CorpusGenerator, generate_corpus
-from repro.triage.harness import DEFAULT_AUX_CORPORA, DEFAULT_SPLIT_RATIO
+from repro.defense.debloat import debloat_corpus
+from repro.defense.evaluation import evaluate_defense
+from repro.defense.firewall import POLICIES, QuarantineStore, get_policy, replay_quarantined
+from repro.ecosystems import ECOSYSTEMS, ecosystems_profile
+from repro.observe import (
+    MetricsRegistry,
+    Tracer,
+    digest_line,
+    load_spans,
+    render_summary,
+    write_trace,
+)
+from repro.observe.prom import PromParseError, to_prometheus
+from repro.observe.top import build_daemon_snapshot, build_farm_snapshot, render_top
+from repro.static_analysis.malware.families import TABLE_VII_FAMILIES, all_families
+from repro.triage import TriageModel
+from repro.triage.harness import (
+    DEFAULT_AUX_CORPORA,
+    DEFAULT_SPLIT_RATIO,
+    evaluate_triage,
+    train_triage_model,
+)
 from repro.triage.model import DEFAULT_EPOCHS, DEFAULT_L2, DEFAULT_LEARNING_RATE
 from repro.triage.tier import DEFAULT_THRESHOLD
 
@@ -65,14 +98,130 @@ TABLE_RENDERERS = {
     "11": "render_ecosystems_table",
 }
 
+#: The project's named user-error types, as (defining module, class name).
+#: ``_exit_on`` looks them up in ``sys.modules`` instead of importing them:
+#: a handler can only raise one whose module it has loaded, and
+#: ``import repro.cli`` stays as cheap as the daemon's start-up needs.
+#: Builtin ``ValueError``/``OSError`` are not here: a handler names them
+#: only around the calls that raise them, so a bug elsewhere still shows
+#: its traceback.
+USER_ERRORS = (
+    ("repro.corpus.generator", "CorpusTooSmallError"),
+    ("repro.corpus.storage", "CorpusFormatError"),
+    ("repro.evolution.warehouse", "WarehouseError"),
+    ("repro.farm.checkpoint", "CheckpointError"),
+    ("repro.farm.networker", "FarmJoinError"),
+    ("repro.service.client", "ServiceClientError"),
+    ("repro.service.persist", "ServicePersistError"),
+    ("repro.service.slo", "SloError"),
+    ("repro.store.verdicts", "StoreError"),
+    ("repro.triage.model", "TriageError"),
+)
 
-def _corpus_profile(args: argparse.Namespace):
-    """The corpus profile a command's knobs select (None = paper profile)."""
-    if not getattr(args, "ecosystems", False):
-        return None
-    from repro.ecosystems import ecosystems_profile
 
-    return ecosystems_profile(staged_depth=getattr(args, "staged_depth", 3))
+def _user_errors() -> tuple:
+    return tuple(
+        getattr(sys.modules[module], name)
+        for module, name in USER_ERRORS
+        if module in sys.modules
+    )
+
+
+@contextmanager
+def _exit_on(args: argparse.Namespace, *builtins):
+    """The one error exit: the project's named errors, and the ``builtins``
+    a caller lists, raised in the block end the run as ``"<verb>: <message>"``."""
+    try:
+        yield
+    except builtins + _user_errors() as exc:
+        raise SystemExit("{}: {}".format(args.verb, exc))
+
+
+def _add_corpus_flags(parser: argparse.ArgumentParser, apps: int) -> None:
+    parser.add_argument("--apps", type=int, default=apps,
+                        help="corpus size (paper: 58,739)")
+    parser.add_argument("--seed", type=int, default=7, help="corpus seed")
+
+
+def _add_pipeline_flags(parser: argparse.ArgumentParser, replays: bool = True) -> None:
+    parser.add_argument("--train", type=int, default=3,
+                        help="DroidNative samples per family")
+    if replays:
+        parser.add_argument("--no-replays", action="store_true",
+                            help="skip Table VIII replays")
+
+
+def _add_triage_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--triage-model", metavar="FILE", default="",
+                        help="enable the tier-0 triage gate with this "
+                             "trained model (see `triage train`)")
+    parser.add_argument("--triage-threshold", type=float, default=0.0,
+                        help="confidence bar for tier-0 short-circuits "
+                             "(default: {})".format(DEFAULT_THRESHOLD))
+
+
+def _add_json_flag(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--json", action="store_true",
+                        help="emit {} as JSON".format(what))
+
+
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--table", default="all",
+                        choices=["all"] + sorted(TABLE_RENDERERS),
+                        help="which table to print")
+    _add_json_flag(parser, "the full serialized report")
+
+
+def _add_store_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--verdict-store", metavar="FILE",
+                        help="shared verdict store: payload verdicts are "
+                             "reused from (and published to) this file "
+                             "across runs, farms, and services")
+
+
+def _add_observe_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--trace-out", metavar="FILE",
+        help="write the stage-level span trace here",
+    )
+    parser.add_argument(
+        "--trace-format", default="jsonl", choices=["jsonl", "chrome"],
+        help="trace format: jsonl (grep-able) or chrome "
+             "(chrome://tracing / Perfetto loadable)",
+    )
+    parser.add_argument(
+        "--metrics-out", metavar="FILE",
+        help="write the JSON metrics registry (stage histograms, cache counters) here",
+    )
+
+
+def _add_endpoint_flags(parser: argparse.ArgumentParser, port: int) -> None:
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=port,
+                        help="TCP port (0 picks an ephemeral port when listening)")
+
+
+def _add_farm_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--shards", type=int, default=None,
+                        help="shard count (default: 4x --workers; 8 without it)")
+    parser.add_argument("--shard-strategy", default="contiguous",
+                        choices=["contiguous", "round-robin"])
+    parser.add_argument("--timeout", type=float, default=None,
+                        help="per-app analysis deadline in seconds")
+    parser.add_argument("--max-retries", type=int, default=2,
+                        help="per-app retries before quarantine")
+    parser.add_argument("--checkpoint", metavar="FILE",
+                        help="append-only JSONL journal of settled apps")
+    parser.add_argument("--resume", action="store_true",
+                        help="skip apps already settled in --checkpoint")
+
+
+def _add_split_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ratio", type=float, default=DEFAULT_SPLIT_RATIO,
+                        help="train fraction of the seeded split")
+    parser.add_argument("--split-seed", type=int, default=0,
+                        help="split shuffle seed (`triage train` and "
+                             "`triage eval` must agree)")
 
 
 def _add_ecosystem_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,15 +237,17 @@ def _add_ecosystem_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_observe_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace-out", metavar="FILE",
-        help="write the stage-level span trace here",
-    )
-    parser.add_argument(
-        "--trace-format", default="jsonl", choices=["jsonl", "chrome"],
-        help="trace format: jsonl (grep-able) or chrome "
-             "(chrome://tracing / Perfetto loadable)",
+def _leaf(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """Add the leaf verb ``name``; ``main`` dispatches it to ``handler``."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.set_defaults(handler=handler, verb=parser.prog.split(" ", 1)[1])
+    return parser
+
+
+def _verb_group(sub, name: str, help: str):
+    """Add the verb ``name``, which takes a leaf verb (``args.<name>_command``)."""
+    return sub.add_parser(name, help=help).add_subparsers(
+        dest=name + "_command", required=True
     )
 
 
@@ -107,152 +258,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    measure = sub.add_parser("measure", help="run the full pipeline and print tables")
-    measure.add_argument("--apps", type=int, default=600, help="corpus size (paper: 58,739)")
-    measure.add_argument("--seed", type=int, default=7)
-    measure.add_argument(
-        "--table",
-        default="all",
-        choices=["all"] + sorted(TABLE_RENDERERS),
-        help="which table to print",
-    )
-    measure.add_argument("--train", type=int, default=3, help="DroidNative samples per family")
-    measure.add_argument("--no-replays", action="store_true", help="skip Table VIII replays")
-    measure.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    measure = _leaf(sub, "measure", cmd_measure,
+                    help="run the full pipeline and print tables")
+    _add_corpus_flags(measure, apps=600)
+    _add_report_flags(measure)
+    _add_pipeline_flags(measure)
     measure.add_argument(
         "--corpus-dir",
         help="measure a corpus previously saved with `corpus --export` instead of generating one",
     )
     _add_observe_flags(measure)
-    measure.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="write the JSON metrics registry (stage histograms, cache counters) here",
-    )
-    measure.add_argument(
-        "--verdict-store", metavar="FILE",
-        help="shared verdict store: payload verdicts are reused from (and "
-             "published to) this file across runs, farms, and services",
-    )
-    measure.add_argument(
-        "--triage-model", metavar="FILE", default="",
-        help="enable the tier-0 triage gate with this trained model "
-             "(see `triage train`)",
-    )
-    measure.add_argument(
-        "--triage-threshold", type=float, default=0.0,
-        help="confidence bar for tier-0 short-circuits "
-             "(default: {})".format(DEFAULT_THRESHOLD),
-    )
+    _add_store_flag(measure)
+    _add_triage_flags(measure)
     _add_ecosystem_flags(measure)
 
-    farm = sub.add_parser("farm", help="sharded, fault-tolerant analysis farm")
-    farm_sub = farm.add_subparsers(dest="farm_command", required=True)
-    farm_run = farm_sub.add_parser(
-        "run", help="measure a seeded corpus across a worker pool"
-    )
-    farm_run.add_argument("--apps", type=int, default=600, help="corpus size")
-    farm_run.add_argument("--seed", type=int, default=7)
+    farm_sub = _verb_group(sub, "farm", help="sharded, fault-tolerant analysis farm")
+    farm_run = _leaf(farm_sub, "run", cmd_farm_run,
+                     help="measure a seeded corpus across a worker pool")
+    _add_corpus_flags(farm_run, apps=600)
     farm_run.add_argument("--workers", type=int, default=2,
                           help="worker processes; 1 runs in-process")
-    farm_run.add_argument("--shards", type=int, default=None,
-                          help="shard count (default: 4x workers)")
-    farm_run.add_argument("--shard-strategy", default="contiguous",
-                          choices=["contiguous", "round-robin"])
-    farm_run.add_argument("--timeout", type=float, default=None,
-                          help="per-app analysis deadline in seconds")
-    farm_run.add_argument("--max-retries", type=int, default=2,
-                          help="per-app retries before quarantine")
-    farm_run.add_argument("--checkpoint", metavar="FILE",
-                          help="append-only JSONL journal of settled apps")
-    farm_run.add_argument("--resume", action="store_true",
-                          help="skip apps already settled in --checkpoint")
-    farm_run.add_argument("--verdict-store", metavar="FILE",
-                          help="shared verdict store: each distinct payload "
-                               "digest is analyzed once fleet-wide")
-    farm_run.add_argument("--triage-model", metavar="FILE", default="",
-                          help="enable the tier-0 triage gate with this "
-                               "trained model (see `triage train`)")
-    farm_run.add_argument("--triage-threshold", type=float, default=0.0,
-                          help="confidence bar for tier-0 short-circuits "
-                               "(default: {})".format(DEFAULT_THRESHOLD))
-    farm_run.add_argument("--metrics-out", metavar="FILE",
-                          help="write the JSON metrics summary here")
-    farm_run.add_argument("--train", type=int, default=3,
-                          help="DroidNative samples per family")
-    farm_run.add_argument("--no-replays", action="store_true",
-                          help="skip Table VIII replays")
-    farm_run.add_argument(
-        "--table",
-        default="all",
-        choices=["all"] + sorted(TABLE_RENDERERS),
-        help="which table to print",
-    )
-    farm_run.add_argument("--json", action="store_true",
-                          help="emit the full serialized report as JSON")
+    _add_farm_flags(farm_run)
+    _add_store_flag(farm_run)
+    _add_triage_flags(farm_run)
+    _add_pipeline_flags(farm_run)
+    _add_report_flags(farm_run)
     farm_run.add_argument("--telemetry-dir", metavar="DIR",
                           help="live telemetry directory: per-shard flight "
                                "recordings, heartbeats, and status.json "
                                "(default: the --checkpoint directory)")
     _add_observe_flags(farm_run)
 
-    farm_serve = farm_sub.add_parser(
-        "serve",
+    farm_serve = _leaf(
+        farm_sub, "serve", cmd_farm_serve,
         help="coordinate the same run over HTTP: `farm join` nodes lease "
              "shards, renew from heartbeats, and ship results back",
     )
-    farm_serve.add_argument("--host", default="127.0.0.1")
-    farm_serve.add_argument("--port", type=int, default=8788,
-                            help="listen port (0 picks an ephemeral port)")
+    _add_endpoint_flags(farm_serve, port=8788)
     farm_serve.add_argument("--lease", type=float, default=15.0,
                             help="shard lease seconds; a worker that stops "
                                  "renewing for this long loses its shard")
-    farm_serve.add_argument("--apps", type=int, default=600, help="corpus size")
-    farm_serve.add_argument("--seed", type=int, default=7)
-    farm_serve.add_argument("--shards", type=int, default=None,
-                            help="shard count (default: 8)")
-    farm_serve.add_argument("--shard-strategy", default="contiguous",
-                            choices=["contiguous", "round-robin"])
-    farm_serve.add_argument("--timeout", type=float, default=None,
-                            help="per-app analysis deadline in seconds")
-    farm_serve.add_argument("--max-retries", type=int, default=2,
-                            help="per-app retries before quarantine")
-    farm_serve.add_argument("--checkpoint", metavar="FILE",
-                            help="append-only JSONL journal of settled apps "
-                                 "(coordinator-owned; workers never touch it)")
-    farm_serve.add_argument("--resume", action="store_true",
-                            help="skip apps already settled in --checkpoint")
-    farm_serve.add_argument("--verdict-store", metavar="FILE",
-                            help="shared verdict store: each distinct payload "
-                                 "digest is analyzed once fleet-wide")
-    farm_serve.add_argument("--triage-model", metavar="FILE", default="",
-                            help="enable the tier-0 triage gate with this "
-                                 "trained model (see `triage train`)")
-    farm_serve.add_argument("--triage-threshold", type=float, default=0.0,
-                            help="confidence bar for tier-0 short-circuits "
-                                 "(default: {})".format(DEFAULT_THRESHOLD))
-    farm_serve.add_argument("--metrics-out", metavar="FILE",
-                            help="write the JSON metrics summary here")
-    farm_serve.add_argument("--train", type=int, default=3,
-                            help="DroidNative samples per family")
-    farm_serve.add_argument("--no-replays", action="store_true",
-                            help="skip Table VIII replays")
-    farm_serve.add_argument(
-        "--table",
-        default="all",
-        choices=["all"] + sorted(TABLE_RENDERERS),
-        help="which table to print",
-    )
-    farm_serve.add_argument("--json", action="store_true",
-                            help="emit the full serialized report as JSON")
+    _add_corpus_flags(farm_serve, apps=600)
+    _add_farm_flags(farm_serve)
+    _add_store_flag(farm_serve)
+    _add_triage_flags(farm_serve)
+    _add_pipeline_flags(farm_serve)
+    _add_report_flags(farm_serve)
     _add_observe_flags(farm_serve)
 
-    farm_join = farm_sub.add_parser(
-        "join",
+    farm_join = _leaf(
+        farm_sub, "join", cmd_farm_join,
         help="lease and analyze shards from a `farm serve` coordinator "
              "until its run drains",
     )
-    farm_join.add_argument("--host", default="127.0.0.1")
-    farm_join.add_argument("--port", type=int, default=8788)
+    _add_endpoint_flags(farm_join, port=8788)
     farm_join.add_argument("--workers", type=int, default=1,
                            help="local worker processes (= concurrent leases); "
                                 "1 runs in-process")
@@ -265,18 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     farm_join.add_argument("--poll", type=float, default=0.5,
                            help="seconds between lease attempts while the "
                                 "queue is empty")
-    farm_join.add_argument("--json", action="store_true",
-                           help="emit the join summary as JSON")
+    _add_json_flag(farm_join, "the join summary")
 
-    evolve = sub.add_parser("evolve", help="longitudinal (multi-version) measurement")
-    evolve_sub = evolve.add_subparsers(dest="evolve_command", required=True)
-    evolve_run = evolve_sub.add_parser(
-        "run", help="analyze every version of a seeded lineage fleet"
-    )
-    evolve_run.add_argument("--apps", type=int, default=120, help="lineages (packages)")
+    evolve_sub = _verb_group(sub, "evolve", help="longitudinal (multi-version) measurement")
+    evolve_run = _leaf(evolve_sub, "run", cmd_evolve_run,
+                       help="analyze every version of a seeded lineage fleet")
+    _add_corpus_flags(evolve_run, apps=120)
     evolve_run.add_argument("--versions", type=int, default=3,
                             help="versions per lineage")
-    evolve_run.add_argument("--seed", type=int, default=7)
     evolve_run.add_argument("--workers", type=int, default=2,
                             help="worker processes; 1 runs in-process")
     evolve_run.add_argument("--shards", type=int, default=None,
@@ -286,86 +341,71 @@ def build_parser() -> argparse.ArgumentParser:
     evolve_run.add_argument("--warehouse", metavar="FILE",
                             help="append-only snapshot warehouse; evolve "
                                  "diff/report read from it")
-    evolve_run.add_argument("--verdict-store", metavar="FILE",
-                            help="shared verdict store: each distinct payload "
-                                 "digest is analyzed once across all versions")
-    evolve_run.add_argument("--metrics-out", metavar="FILE",
-                            help="write the JSON metrics summary here")
-    evolve_run.add_argument("--train", type=int, default=3,
-                            help="DroidNative samples per family")
-    evolve_run.add_argument("--no-replays", action="store_true",
-                            help="skip Table VIII replays")
-    evolve_run.add_argument("--json", action="store_true",
-                            help="emit diffs + timeline as JSON")
+    _add_store_flag(evolve_run)
+    _add_pipeline_flags(evolve_run)
+    _add_json_flag(evolve_run, "diffs + timeline")
     _add_observe_flags(evolve_run)
-    evolve_diff = evolve_sub.add_parser(
-        "diff", help="print behavior drift between adjacent warehouse snapshots"
+    evolve_diff = _leaf(
+        evolve_sub, "diff", cmd_evolve_diff,
+        help="print behavior drift between adjacent warehouse snapshots",
     )
     evolve_diff.add_argument("--warehouse", metavar="FILE", required=True)
     evolve_diff.add_argument("--package", default=None,
                              help="restrict to one package")
-    evolve_diff.add_argument("--json", action="store_true",
-                             help="emit structured diffs as JSON")
-    evolve_report = evolve_sub.add_parser(
-        "report", help="print fleet evolution timelines from a warehouse"
+    _add_json_flag(evolve_diff, "structured diffs")
+    evolve_report = _leaf(
+        evolve_sub, "report", cmd_evolve_report,
+        help="print fleet evolution timelines from a warehouse",
     )
     evolve_report.add_argument("--warehouse", metavar="FILE", required=True)
-    evolve_report.add_argument("--json", action="store_true",
-                               help="emit the timeline as JSON")
+    _add_json_flag(evolve_report, "the timeline")
 
-    defend = sub.add_parser("defend", help="active defense: firewall, quarantine, debloat")
-    defend_sub = defend.add_subparsers(dest="defend_command", required=True)
-    defend_eval = defend_sub.add_parser(
-        "eval", help="score enforcement on a seeded corpus (baseline vs. defended)"
+    defend_sub = _verb_group(sub, "defend", help="active defense: firewall, quarantine, debloat")
+    defend_eval = _leaf(
+        defend_sub, "eval", cmd_defend_eval,
+        help="score enforcement on a seeded corpus (baseline vs. defended)",
     )
-    defend_eval.add_argument("--apps", type=int, default=120, help="corpus size")
-    defend_eval.add_argument("--seed", type=int, default=7)
+    _add_corpus_flags(defend_eval, apps=120)
     defend_eval.add_argument("--policy", default="default",
                              help="enforcement policy (see `defend policies`)")
-    defend_eval.add_argument("--verdict-store", metavar="FILE",
-                             help="shared verdict store; the baseline phase warms "
-                                  "it and the known-malware rule reads it")
+    _add_store_flag(defend_eval)
     defend_eval.add_argument("--quarantine-dir", metavar="DIR",
                              help="preserve quarantined payload bytes here")
     defend_eval.add_argument("--workers", type=int, default=1,
                              help="worker processes; >1 runs both phases on the farm")
-    defend_eval.add_argument("--train", type=int, default=3,
-                             help="DroidNative samples per family")
-    defend_eval.add_argument("--json", action="store_true",
-                             help="emit the full scorecard as JSON")
+    _add_pipeline_flags(defend_eval, replays=False)
+    _add_json_flag(defend_eval, "the full scorecard")
     _add_ecosystem_flags(defend_eval)
-    defend_replay = defend_sub.add_parser(
-        "replay", help="re-detonate quarantined payloads in a sandbox VM"
+    defend_replay = _leaf(
+        defend_sub, "replay", cmd_defend_replay,
+        help="re-detonate quarantined payloads in a sandbox VM",
     )
     defend_replay.add_argument("--quarantine-dir", metavar="DIR", required=True)
     defend_replay.add_argument("--digest", default=None,
                                help="replay only this payload (default: all)")
-    defend_replay.add_argument("--json", action="store_true")
-    defend_debloat = defend_sub.add_parser(
-        "debloat", help="shelve statically unreachable DCL call sites"
+    _add_json_flag(defend_replay, "the replay results")
+    defend_debloat = _leaf(
+        defend_sub, "debloat", cmd_defend_debloat,
+        help="shelve statically unreachable DCL call sites",
     )
-    defend_debloat.add_argument("--apps", type=int, default=120, help="corpus size")
-    defend_debloat.add_argument("--seed", type=int, default=7)
+    _add_corpus_flags(defend_debloat, apps=120)
     defend_debloat.add_argument("--index", type=int, default=None,
                                 help="debloat only this corpus index")
-    defend_debloat.add_argument("--json", action="store_true")
-    defend_sub.add_parser("policies", help="list the named enforcement policies")
+    _add_json_flag(defend_debloat, "the debloat manifests")
+    _leaf(defend_sub, "policies", cmd_defend_policies,
+          help="list the named enforcement policies")
 
-    triage = sub.add_parser(
-        "triage", help="tier-0 behavioral prefilter: train, evaluate, inspect"
+    triage_sub = _verb_group(
+        sub, "triage", help="tier-0 behavioral prefilter: train, evaluate, inspect"
     )
-    triage_sub = triage.add_subparsers(dest="triage_command", required=True)
-    triage_train = triage_sub.add_parser(
-        "train", help="train a model on the train half of a seeded corpus split"
+    triage_train = _leaf(
+        triage_sub, "train", cmd_triage_train,
+        help="train a model on the train half of a seeded corpus split",
     )
-    triage_train.add_argument("--apps", type=int, default=120, help="corpus size")
-    triage_train.add_argument("--seed", type=int, default=7)
+    _add_corpus_flags(triage_train, apps=120)
     triage_train.add_argument("--out", metavar="FILE", required=True,
                               help="write the versioned JSON model here")
-    triage_train.add_argument("--ratio", type=float, default=DEFAULT_SPLIT_RATIO,
-                              help="train fraction of the seeded split")
-    triage_train.add_argument("--split-seed", type=int, default=0,
-                              help="split shuffle seed (shared with `triage eval`)")
+    _add_split_flags(triage_train)
     triage_train.add_argument("--aux-corpora", type=int, default=DEFAULT_AUX_CORPORA,
                               help="extra whole training corpora from derived "
                                    "seeds (rare hazard roles are planted ~once "
@@ -379,35 +419,27 @@ def build_parser() -> argparse.ArgumentParser:
     triage_train.add_argument("--harvest", metavar="FILE", default="",
                               help="fold in hard examples a gated run harvested "
                                    "to <model>.harvest.jsonl")
-    triage_train.add_argument("--json", action="store_true",
-                              help="emit the training summary as JSON")
-    triage_eval = triage_sub.add_parser(
-        "eval", help="score a model on the held-out half (full pipeline = truth)"
+    _add_json_flag(triage_train, "the training summary")
+    triage_eval = _leaf(
+        triage_sub, "eval", cmd_triage_eval,
+        help="score a model on the held-out half (full pipeline = truth)",
     )
     triage_eval.add_argument("--model", metavar="FILE", required=True)
-    triage_eval.add_argument("--apps", type=int, default=120, help="corpus size")
-    triage_eval.add_argument("--seed", type=int, default=7)
+    _add_corpus_flags(triage_eval, apps=120)
     triage_eval.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                              help="confidence bar for would-be short-circuits")
-    triage_eval.add_argument("--ratio", type=float, default=DEFAULT_SPLIT_RATIO,
-                             help="train fraction used when the model was trained")
-    triage_eval.add_argument("--split-seed", type=int, default=0)
-    triage_eval.add_argument("--train", type=int, default=3,
-                             help="DroidNative samples per family "
-                                  "(ground-truth pipeline)")
-    triage_eval.add_argument("--json", action="store_true",
-                             help="emit the scorecard as JSON")
-    triage_inspect = triage_sub.add_parser(
-        "inspect", help="print a model file's provenance and heaviest weights"
+    _add_split_flags(triage_eval)
+    _add_pipeline_flags(triage_eval, replays=False)
+    _add_json_flag(triage_eval, "the scorecard")
+    triage_inspect = _leaf(
+        triage_sub, "inspect", cmd_triage_inspect,
+        help="print a model file's provenance and heaviest weights",
     )
     triage_inspect.add_argument("--model", metavar="FILE", required=True)
-    triage_inspect.add_argument("--json", action="store_true",
-                                help="emit the full model document as JSON")
+    _add_json_flag(triage_inspect, "the full model document")
 
-    serve = sub.add_parser("serve", help="run the analysis-as-a-service daemon")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8787,
-                       help="listen port (0 picks an ephemeral port)")
+    serve = _leaf(sub, "serve", cmd_serve, help="run the analysis-as-a-service daemon")
+    _add_endpoint_flags(serve, port=8787)
     serve.add_argument("--workers", type=int, default=2,
                        help="background scheduler threads")
     serve.add_argument("--queue-depth", type=int, default=64,
@@ -418,26 +450,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-client token-bucket burst")
     serve.add_argument("--persist", metavar="FILE",
                        help="JSONL result journal; reloaded on restart")
-    serve.add_argument("--verdict-store", metavar="FILE",
-                       help="shared verdict store for payload verdicts, "
-                            "reusable across daemon restarts and farm runs")
+    _add_store_flag(serve)
     serve.add_argument("--cache-capacity", type=int, default=65536,
                        help="distinct APK digests held in the result cache")
-    serve.add_argument("--train", type=int, default=3,
-                       help="DroidNative samples per family")
-    serve.add_argument("--no-replays", action="store_true",
-                       help="skip Table VIII replays")
+    _add_pipeline_flags(serve)
     serve.add_argument("--policy", default="",
                        help="default firewall policy for jobs that do not "
                             "name one (see `defend policies`)")
     serve.add_argument("--quarantine-dir", metavar="DIR", default="",
                        help="preserve payloads the firewall quarantines here")
-    serve.add_argument("--triage-model", metavar="FILE", default="",
-                       help="enable the tier-0 triage gate for all jobs "
-                            "(tenants opt out with triage: \"off\")")
-    serve.add_argument("--triage-threshold", type=float, default=0.0,
-                       help="daemon-default confidence bar for tier-0 "
-                            "short-circuits (default: {})".format(DEFAULT_THRESHOLD))
+    _add_triage_flags(serve)
     serve.add_argument("--slo", metavar="SPEC", default="",
                        help="per-tenant SLO objectives, e.g. "
                             "'p95=30s,error_rate=1%%' (reported in "
@@ -449,14 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append structured JSONL events (job lifecycle, "
                             "firewall enforcement, store publishes) here")
     _add_observe_flags(serve)
-    serve.add_argument("--metrics-out", metavar="FILE",
-                       help="write the final metrics registry here on drain")
 
-    submit = sub.add_parser("submit", help="submit one job to a running daemon")
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=8787)
-    submit.add_argument("--seed", type=int, default=7, help="corpus seed")
-    submit.add_argument("--apps", type=int, default=600, help="corpus size")
+    submit = _leaf(sub, "submit", cmd_submit, help="submit one job to a running daemon")
+    _add_endpoint_flags(submit, port=8787)
+    _add_corpus_flags(submit, apps=600)
     submit.add_argument("--index", type=int, required=True,
                         help="app index in the (seed, apps) corpus")
     submit.add_argument("--priority", type=int, default=0,
@@ -478,14 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--triage-threshold", type=float, default=0.0,
                         help="per-tenant confidence bar (requires --triage on)")
 
-    status = sub.add_parser("status", help="daemon stats, or one job's record")
-    status.add_argument("--host", default="127.0.0.1")
-    status.add_argument("--port", type=int, default=8787)
+    status = _leaf(sub, "status", cmd_status, help="daemon stats, or one job's record")
+    _add_endpoint_flags(status, port=8787)
     status.add_argument("--job", metavar="ID", help="show this job instead of stats")
 
-    top = sub.add_parser("top", help="live dashboard over a daemon or farm run")
-    top.add_argument("--host", default="127.0.0.1")
-    top.add_argument("--port", type=int, default=8787)
+    top = _leaf(sub, "top", cmd_top, help="live dashboard over a daemon or farm run")
+    _add_endpoint_flags(top, port=8787)
     top.add_argument("--status", metavar="FILE", default=None,
                      help="watch a farm's status.json instead of a daemon")
     top.add_argument("--once", action="store_true",
@@ -495,10 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--iterations", type=int, default=0,
                      help="stop after N refreshes (0: until interrupted)")
 
-    metrics = sub.add_parser("metrics", help="metrics tooling")
-    metrics_sub = metrics.add_subparsers(dest="metrics_command", required=True)
-    metrics_export = metrics_sub.add_parser(
-        "export", help="convert a --metrics-out JSON registry to Prometheus text"
+    metrics_sub = _verb_group(sub, "metrics", help="metrics tooling")
+    metrics_export = _leaf(
+        metrics_sub, "export", cmd_metrics,
+        help="convert a --metrics-out JSON registry to Prometheus text",
     )
     metrics_export.add_argument("metrics_file",
                                 help="JSON written by --metrics-out (plain "
@@ -506,10 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_export.add_argument("--out", metavar="FILE", default=None,
                                 help="write here instead of stdout")
 
-    store = sub.add_parser("store", help="verdict-store / warehouse tooling")
-    store_sub = store.add_subparsers(dest="store_command", required=True)
-    store_compact = store_sub.add_parser(
-        "compact",
+    store_sub = _verb_group(sub, "store", help="verdict-store / warehouse tooling")
+    store_compact = _leaf(
+        store_sub, "compact", cmd_store,
         help="garbage-collect a verdict store or snapshot warehouse in "
              "place (drop duplicates, corrupt debris, stale index lines) "
              "and rebuild its sqlite sidecar index",
@@ -517,31 +532,28 @@ def build_parser() -> argparse.ArgumentParser:
     store_compact.add_argument("store_file",
                                help="verdict store or warehouse JSONL "
                                     "(auto-detected from the header)")
-    store_compact.add_argument("--json", action="store_true",
-                               help="emit the compaction stats as JSON")
+    _add_json_flag(store_compact, "the compaction stats")
 
-    corpus = sub.add_parser("corpus", help="print ground-truth corpus statistics")
-    corpus.add_argument("--apps", type=int, default=1000)
-    corpus.add_argument("--seed", type=int, default=7)
+    corpus = _leaf(sub, "corpus", cmd_corpus, help="print ground-truth corpus statistics")
+    _add_corpus_flags(corpus, apps=1000)
     corpus.add_argument("--export", metavar="DIR", help="also save the built corpus to DIR")
     _add_ecosystem_flags(corpus)
 
-    ecosystems = sub.add_parser(
-        "ecosystems",
+    ecosystems_sub = _verb_group(
+        sub, "ecosystems",
         help="the modern-DCL scenario pack: list or describe its ecosystems",
     )
-    ecosystems_sub = ecosystems.add_subparsers(dest="ecosystems_command", required=True)
-    ecosystems_sub.add_parser("list", help="one line per ecosystem")
-    ecosystems_describe = ecosystems_sub.add_parser(
-        "describe", help="full detail for one ecosystem"
+    _leaf(ecosystems_sub, "list", cmd_ecosystems_list, help="one line per ecosystem")
+    ecosystems_describe = _leaf(
+        ecosystems_sub, "describe", cmd_ecosystems_describe,
+        help="full detail for one ecosystem",
     )
     ecosystems_describe.add_argument(
         "key", help="ecosystem key (see `ecosystems list`)"
     )
 
-    analyze = sub.add_parser("analyze", help="deep-dive one generated app")
-    analyze.add_argument("--apps", type=int, default=600)
-    analyze.add_argument("--seed", type=int, default=7)
+    analyze = _leaf(sub, "analyze", cmd_analyze, help="deep-dive one generated app")
+    _add_corpus_flags(analyze, apps=600)
     group = analyze.add_mutually_exclusive_group(required=True)
     group.add_argument("--index", type=int, help="app index in the corpus")
     group.add_argument(
@@ -550,15 +562,71 @@ def build_parser() -> argparse.ArgumentParser:
         help="pick the first app with this planted role",
     )
 
-    sub.add_parser("families", help="list the trained malware families")
+    _leaf(sub, "families", cmd_families, help="list the trained malware families")
 
-    trace = sub.add_parser("trace", help="inspect a trace written with --trace-out")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    trace_summary = trace_sub.add_parser(
-        "summary", help="per-stage count/total/p50/p95/max table"
+    trace_sub = _verb_group(sub, "trace", help="inspect a trace written with --trace-out")
+    trace_summary = _leaf(
+        trace_sub, "summary", cmd_trace,
+        help="per-stage count/total/p50/p95/max table",
     )
     trace_summary.add_argument("trace_file", help="jsonl or chrome trace file")
     return parser
+
+
+def _corpus_profile(args: argparse.Namespace):
+    """The corpus profile a command's knobs select (None = paper profile)."""
+    if not getattr(args, "ecosystems", False):
+        return None
+    return ecosystems_profile(staged_depth=getattr(args, "staged_depth", 3))
+
+
+def _pipeline_config(args: argparse.Namespace, **extra) -> DyDroidConfig:
+    """The pipeline config a verb's pipeline and triage groups select.
+
+    Fields of a group the verb does not declare keep their config
+    defaults; ``extra`` sets the fields no shared flag covers.
+    """
+    fields = {}
+    if hasattr(args, "train"):
+        fields["train_samples_per_family"] = args.train
+    if hasattr(args, "no_replays"):
+        fields["run_replays"] = not args.no_replays
+    if hasattr(args, "triage_model"):
+        fields["triage_model"] = args.triage_model
+        fields["triage_threshold"] = args.triage_threshold
+    return DyDroidConfig(**fields, **extra)
+
+
+def _farm_config(args: argparse.Namespace, **extra):
+    """The ``FarmConfig`` of ``farm run`` / ``farm serve``; ``extra`` holds
+    the knobs only one of them has."""
+    from repro.farm import FarmConfig
+
+    return FarmConfig(
+        n_apps=args.apps,
+        corpus_seed=args.seed,
+        n_shards=args.shards,
+        shard_strategy=args.shard_strategy,
+        timeout_s=args.timeout,
+        max_retries=args.max_retries,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        pipeline=_pipeline_config(args),
+        trace=bool(args.trace_out),
+        verdict_store=args.verdict_store,
+        **extra,
+    )
+
+
+def _fail_fast(args: argparse.Namespace) -> None:
+    """Check up front what farm workers and daemon threads would each trip
+    over on their own -- a broken ``--triage-model``, or a farm corpus too
+    small to plant every rare role -- so it ends the run instead of
+    surfacing as one quarantine or failed job per app."""
+    if args.triage_model:
+        TriageModel.load(args.triage_model)
+    if hasattr(args, "apps"):
+        CorpusGenerator(seed=args.seed).sample_blueprints(args.apps)
 
 
 def _print_report(report, args: argparse.Namespace) -> None:
@@ -570,17 +638,43 @@ def _print_report(report, args: argparse.Namespace) -> None:
         print(getattr(report, TABLE_RENDERERS[args.table])())
 
 
-def _write_json(path: str, payload) -> None:
-    import json as json_module
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=1, sort_keys=True))
 
+
+def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json_module.dump(payload, handle, indent=1, sort_keys=True)
+        json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
 
-def cmd_measure(args: argparse.Namespace) -> int:
-    from repro.observe import MetricsRegistry, Tracer, digest_line, write_trace
+def _write_observations(args: argparse.Namespace, spans, metrics) -> None:
+    """Write what the observe group's ``--metrics-out``/``--trace-out`` ask for."""
+    if args.metrics_out:
+        _write_json(args.metrics_out, metrics)
+    if args.trace_out:
+        write_trace(spans, args.trace_out, fmt=args.trace_format)
 
+
+def _service_client(args: argparse.Namespace):
+    from repro.service import ServiceClient
+
+    return ServiceClient(args.host, args.port)
+
+
+def _corpus_blueprints(args: argparse.Namespace):
+    """The seeded corpus's generator and blueprints, narrowed to ``--index``
+    when one is given."""
+    generator = CorpusGenerator(seed=args.seed)
+    blueprints = generator.sample_blueprints(args.apps)
+    if args.index is not None:
+        if not 0 <= args.index < len(blueprints):
+            raise SystemExit("index out of range (corpus has {} apps)".format(len(blueprints)))
+        blueprints = [blueprints[args.index]]
+    return generator, blueprints
+
+
+def cmd_measure(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.corpus_dir:
         from repro.corpus.storage import load_corpus
@@ -590,33 +684,20 @@ def cmd_measure(args: argparse.Namespace) -> int:
         corpus = generate_corpus(
             args.apps, seed=args.seed, profile=_corpus_profile(args)
         )
-    config = DyDroidConfig(
-        train_samples_per_family=args.train, run_replays=not args.no_replays,
-        triage_model=args.triage_model, triage_threshold=args.triage_threshold,
-    )
     # Observability is on by default: the trace powers the one-line
     # digest below even when no --trace-out was requested.
     tracer, registry = Tracer(), MetricsRegistry()
-    from repro.store import StoreError
-    from repro.triage import TriageError
-
-    try:
-        pipeline = DyDroid(
-            config, tracer=tracer, metrics=registry,
-            verdict_store=args.verdict_store,
-        )
-    except (StoreError, TriageError) as exc:
-        raise SystemExit("measure: {}".format(exc))
+    pipeline = DyDroid(
+        _pipeline_config(args), tracer=tracer, metrics=registry,
+        verdict_store=args.verdict_store,
+    )
     try:
         report = pipeline.measure(corpus)
     finally:
         pipeline.close()
     _print_report(report, args)
     spans = tracer.to_dicts()
-    if args.trace_out:
-        write_trace(spans, args.trace_out, fmt=args.trace_format)
-    if args.metrics_out:
-        _write_json(args.metrics_out, registry.to_dict())
+    _write_observations(args, spans, registry.to_dict())
     print()
     print(
         "[{} apps measured in {:.1f}s]".format(
@@ -626,26 +707,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
     )
     print(digest_line(spans, registry), file=sys.stderr)
     return 0
-
-
-def _farm_pipeline_config(args: argparse.Namespace) -> DyDroidConfig:
-    return DyDroidConfig(
-        train_samples_per_family=args.train, run_replays=not args.no_replays,
-        triage_model=args.triage_model,
-        triage_threshold=args.triage_threshold,
-    )
-
-
-def _farm_check_triage(args: argparse.Namespace, verb: str) -> None:
-    if args.triage_model:
-        # fail fast here rather than quarantining every app when each
-        # worker process discovers the broken model on its own.
-        from repro.triage import TriageError, TriageModel
-
-        try:
-            TriageModel.load(args.triage_model)
-        except TriageError as exc:
-            raise SystemExit("{}: {}".format(verb, exc))
 
 
 def _print_farm_result(result, args: argparse.Namespace, label: str) -> None:
@@ -659,12 +720,7 @@ def _print_farm_result(result, args: argparse.Namespace, label: str) -> None:
             ),
             file=sys.stderr,
         )
-    if args.metrics_out:
-        _write_json(args.metrics_out, result.metrics)
-    if args.trace_out:
-        from repro.observe import write_trace
-
-        write_trace(result.spans, args.trace_out, fmt=args.trace_format)
+    _write_observations(args, result.spans, result.metrics)
     print()
     print(
         "[{}: {} apps ({} resumed) in {:.1f}s ({:.1f} apps/s), "
@@ -681,58 +737,26 @@ def _print_farm_result(result, args: argparse.Namespace, label: str) -> None:
     )
 
 
-def _cmd_farm_run(args: argparse.Namespace) -> int:
-    from repro.farm import CheckpointError, FarmConfig, run_farm
-    from repro.store import StoreError
+def cmd_farm_run(args: argparse.Namespace) -> int:
+    from repro.farm import run_farm
 
-    config = FarmConfig(
-        n_apps=args.apps,
-        corpus_seed=args.seed,
-        workers=args.workers,
-        n_shards=args.shards,
-        shard_strategy=args.shard_strategy,
-        timeout_s=args.timeout,
-        max_retries=args.max_retries,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        pipeline=_farm_pipeline_config(args),
-        trace=bool(args.trace_out),
-        verdict_store=args.verdict_store,
-        telemetry_dir=args.telemetry_dir,
-    )
-    _farm_check_triage(args, "farm run")
-    try:
+    config = _farm_config(args, workers=args.workers, telemetry_dir=args.telemetry_dir)
+    _fail_fast(args)
+    with _exit_on(args, ValueError):
         result = run_farm(config)
-    except (CheckpointError, StoreError, ValueError) as exc:
-        raise SystemExit("farm run: {}".format(exc))
     _print_farm_result(result, args, "farm")
     return 0
 
 
-def _cmd_farm_serve(args: argparse.Namespace) -> int:
-    from repro.farm import CheckpointError, FarmConfig, FarmCoordinator
-    from repro.store import StoreError
+def cmd_farm_serve(args: argparse.Namespace) -> int:
+    from repro.farm import FarmCoordinator
 
-    config = FarmConfig(
-        n_apps=args.apps,
-        corpus_seed=args.seed,
-        n_shards=args.shards,
-        shard_strategy=args.shard_strategy,
-        timeout_s=args.timeout,
-        max_retries=args.max_retries,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        pipeline=_farm_pipeline_config(args),
-        trace=bool(args.trace_out),
-        verdict_store=args.verdict_store,
-    )
-    _farm_check_triage(args, "farm serve")
-    try:
+    config = _farm_config(args)
+    _fail_fast(args)
+    with _exit_on(args, ValueError, OSError):
         coordinator = FarmCoordinator(
             config, host=args.host, port=args.port, lease_s=args.lease
         ).start()
-    except (CheckpointError, StoreError, ValueError, OSError) as exc:
-        raise SystemExit("farm serve: {}".format(exc))
     snapshot = coordinator.ledger.snapshot()
     print(
         "[farm coordinator on {}:{}: {} apps, {} shards pending "
@@ -768,25 +792,19 @@ def _cmd_farm_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_farm_join(args: argparse.Namespace) -> int:
-    from repro.farm import FarmJoinError, join_farm
+def cmd_farm_join(args: argparse.Namespace) -> int:
+    from repro.farm import join_farm
 
-    try:
-        summary = join_farm(
-            args.host,
-            args.port,
-            workers=args.workers,
-            worker_id=args.name,
-            telemetry_dir=args.telemetry_dir,
-            poll_s=args.poll,
-        )
-    except FarmJoinError as exc:
-        raise SystemExit("farm join: {}".format(exc))
+    summary = join_farm(
+        args.host,
+        args.port,
+        workers=args.workers,
+        worker_id=args.name,
+        telemetry_dir=args.telemetry_dir,
+        poll_s=args.poll,
+    )
     if args.json:
-        import json as json_module
-        from dataclasses import asdict
-
-        print(json_module.dumps(asdict(summary), indent=1, sort_keys=True))
+        _print_json(asdict(summary))
     else:
         print(
             "[{}: {} shards completed ({} stale, {} failed), {} apps "
@@ -806,56 +824,37 @@ def _cmd_farm_join(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_farm(args: argparse.Namespace) -> int:
-    if args.farm_command == "serve":
-        return _cmd_farm_serve(args)
-    if args.farm_command == "join":
-        return _cmd_farm_join(args)
-    return _cmd_farm_run(args)
-
-
 def cmd_store(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    try:
+    with _exit_on(args, OSError):
         with open(args.store_file, "rb") as handle:
             first = handle.readline()
-    except OSError as exc:
-        raise SystemExit("store compact: {}".format(exc))
     try:
-        header = json_module.loads(first.decode("utf-8", "replace") or "{}")
+        header = json.loads(first.decode("utf-8", "replace") or "{}")
     except ValueError:
         header = {}
     # Both files start with a {"kind": "header", ...} line; the warehouse's
     # carries "serialization", the verdict store's a config "fingerprint".
-    is_warehouse = isinstance(header, dict) and "serialization" in header
-    if is_warehouse:
-        from repro.evolution import WarehouseError, compact_warehouse
+    if isinstance(header, dict) and "serialization" in header:
+        from repro.evolution import compact_warehouse as compact
 
-        try:
-            stats = compact_warehouse(args.store_file)
-        except (WarehouseError, OSError) as exc:
-            raise SystemExit("store compact: {}".format(exc))
-        kept, flavor = stats["snapshots"], "warehouse"
+        kept_key, flavor = "snapshots", "warehouse"
     else:
-        from repro.store import StoreError, compact_store
+        from repro.store import compact_store as compact
 
-        try:
-            stats = compact_store(args.store_file)
-        except (StoreError, OSError) as exc:
-            raise SystemExit("store compact: {}".format(exc))
-        kept, flavor = stats["entries"], "verdict store"
+        kept_key, flavor = "entries", "verdict store"
+    with _exit_on(args, OSError):
+        stats = compact(args.store_file)
     if args.json:
         payload = dict(stats)
         payload["kind"] = flavor
-        print(json_module.dumps(payload, indent=1, sort_keys=True))
+        _print_json(payload)
     else:
         print(
             "[compacted {} {}: {} kept, {} duplicates + {} corrupt{} "
             "dropped, {} -> {} bytes]".format(
                 flavor,
                 args.store_file,
-                kept,
+                stats[kept_key],
                 stats["dropped_duplicates"],
                 stats["dropped_corrupt"],
                 " + {} stale index lines".format(stats["dropped_index_lines"])
@@ -866,6 +865,64 @@ def cmd_store(args: argparse.Namespace) -> int:
             )
         )
     return 0
+
+
+def _print_diffs(args: argparse.Namespace, diffs, digest: str, timeline=None) -> None:
+    """Drift diffs, the run's timeline when there is one, and the diff digest."""
+    if args.json:
+        payload = {"diffs": [diff.to_dict() for diff in diffs], "diff_digest": digest}
+        if timeline is not None:
+            payload["timeline"] = timeline.to_dict()
+        _print_json(payload)
+        return
+    for diff in diffs:
+        print(diff.render())
+    if timeline is not None:
+        print(timeline.render())
+    print("[diff digest: {}]".format(digest))
+
+
+def cmd_evolve_run(args: argparse.Namespace) -> int:
+    from repro.evolution import EvolveConfig, LineageSpec, run_evolution
+
+    config = EvolveConfig(
+        n_apps=args.apps,
+        n_versions=args.versions,
+        seed=args.seed,
+        workers=args.workers,
+        n_shards=args.shards,
+        spec=LineageSpec(malicious_hazard=args.hazard),
+        pipeline=_pipeline_config(args),
+        warehouse=args.warehouse,
+        verdict_store=args.verdict_store,
+        trace=bool(args.trace_out),
+    )
+    with _exit_on(args, ValueError):
+        result = run_evolution(config)
+    _print_diffs(args, result.diffs, result.diff_fingerprint, result.timeline)
+    _write_observations(args, result.spans, result.metrics)
+    print(
+        "[evolve: {} snapshots ({} apps x {} versions) in {:.1f}s, "
+        "{} drifted]".format(
+            result.metrics["snapshots_analyzed"],
+            config.n_apps,
+            config.n_versions,
+            result.metrics["wall_s"],
+            len(result.diffs),
+        ),
+        file=sys.stderr,
+    )
+    return 0
+
+
+def _open_warehouse(args: argparse.Namespace):
+    from repro.evolution import SnapshotWarehouse
+
+
+    if not os.path.exists(args.warehouse):
+        # read verbs must not conjure an empty warehouse into existence
+        raise SystemExit("{}: no warehouse at {}".format(args.verb, args.warehouse))
+    return SnapshotWarehouse(args.warehouse)
 
 
 def _warehouse_diffs(warehouse, package: Optional[str] = None):
@@ -886,103 +943,24 @@ def _warehouse_diffs(warehouse, package: Optional[str] = None):
     return diffs
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
-    from repro.evolution import (
-        EvolveConfig,
-        LineageSpec,
-        SnapshotWarehouse,
-        WarehouseError,
-        diff_digest,
-        load_warehouse_timeline,
-        run_evolution,
-    )
+def cmd_evolve_diff(args: argparse.Namespace) -> int:
+    from repro.evolution import diff_digest
 
-    if args.evolve_command == "run":
-        from repro.observe import write_trace
-        from repro.store import StoreError
+    with _open_warehouse(args) as warehouse:
+        diffs = _warehouse_diffs(warehouse, args.package)
+    _print_diffs(args, diffs, diff_digest(diffs))
+    return 0
 
-        config = EvolveConfig(
-            n_apps=args.apps,
-            n_versions=args.versions,
-            seed=args.seed,
-            workers=args.workers,
-            n_shards=args.shards,
-            spec=LineageSpec(malicious_hazard=args.hazard),
-            pipeline=DyDroidConfig(
-                train_samples_per_family=args.train,
-                run_replays=not args.no_replays,
-            ),
-            warehouse=args.warehouse,
-            verdict_store=args.verdict_store,
-            trace=bool(args.trace_out),
-        )
-        try:
-            result = run_evolution(config)
-        except (StoreError, WarehouseError, ValueError) as exc:
-            raise SystemExit("evolve run: {}".format(exc))
-        if args.json:
-            _print_json(
-                {
-                    "diffs": [diff.to_dict() for diff in result.diffs],
-                    "diff_digest": result.diff_fingerprint,
-                    "timeline": result.timeline.to_dict(),
-                }
-            )
-        else:
-            for diff in result.diffs:
-                print(diff.render())
-            print(result.timeline.render())
-            print("[diff digest: {}]".format(result.diff_fingerprint))
-        if args.metrics_out:
-            _write_json(args.metrics_out, result.metrics)
-        if args.trace_out:
-            write_trace(result.spans, args.trace_out, fmt=args.trace_format)
-        print(
-            "[evolve: {} snapshots ({} apps x {} versions) in {:.1f}s, "
-            "{} drifted]".format(
-                result.metrics["snapshots_analyzed"],
-                config.n_apps,
-                config.n_versions,
-                result.metrics["wall_s"],
-                len(result.diffs),
-            ),
-            file=sys.stderr,
-        )
-        return 0
 
-    import os
+def cmd_evolve_report(args: argparse.Namespace) -> int:
+    from repro.evolution import load_warehouse_timeline
 
-    if not os.path.exists(args.warehouse):
-        # read verbs must not conjure an empty warehouse into existence
-        raise SystemExit(
-            "evolve {}: no warehouse at {}".format(args.evolve_command, args.warehouse)
-        )
-    try:
-        warehouse = SnapshotWarehouse(args.warehouse)
-    except WarehouseError as exc:
-        raise SystemExit("evolve {}: {}".format(args.evolve_command, exc))
-    try:
-        if args.evolve_command == "diff":
-            diffs = _warehouse_diffs(warehouse, args.package)
-            if args.json:
-                _print_json(
-                    {
-                        "diffs": [diff.to_dict() for diff in diffs],
-                        "diff_digest": diff_digest(diffs),
-                    }
-                )
-            else:
-                for diff in diffs:
-                    print(diff.render())
-                print("[diff digest: {}]".format(diff_digest(diffs)))
-        else:  # report
-            timeline = load_warehouse_timeline(warehouse)
-            if args.json:
-                _print_json(timeline.to_dict())
-            else:
-                print(timeline.render())
-    finally:
-        warehouse.close()
+    with _open_warehouse(args) as warehouse:
+        timeline = load_warehouse_timeline(warehouse)
+    if args.json:
+        _print_json(timeline.to_dict())
+    else:
+        print(timeline.render())
     return 0
 
 
@@ -990,16 +968,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.observe import write_trace
     from repro.service import AnalysisService, ServiceConfig, make_server
-    from repro.service.persist import ServicePersistError
-    from repro.service.slo import SloError, parse_slo
-    from repro.store import StoreError
+    from repro.service.slo import parse_slo
 
-    try:
-        slo = parse_slo(args.slo) if args.slo else None
-    except SloError as exc:
-        raise SystemExit("serve: {}".format(exc))
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -1010,39 +981,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
         persist=args.persist,
         verdict_store=args.verdict_store,
         cache_capacity=args.cache_capacity,
-        slo=slo,
+        slo=parse_slo(args.slo) if args.slo else None,
         slo_window=args.slo_window,
         event_log=args.event_log,
-        pipeline=DyDroidConfig(
-            train_samples_per_family=args.train,
-            run_replays=not args.no_replays,
-            firewall_policy=args.policy,
-            quarantine_dir=args.quarantine_dir,
-            triage_model=args.triage_model,
-            triage_threshold=args.triage_threshold,
+        pipeline=_pipeline_config(
+            args, firewall_policy=args.policy, quarantine_dir=args.quarantine_dir
         ),
     )
     if args.policy:
-        from repro.defense.firewall import get_policy
-
-        try:
+        with _exit_on(args, ValueError):
             get_policy(args.policy)
-        except ValueError as exc:
-            raise SystemExit("serve: {}".format(exc))
-    if args.triage_model:
-        # validate now: worker threads build pipelines lazily, so a broken
-        # model would otherwise surface as per-job failures.
-        from repro.triage import TriageError, TriageModel
-
-        try:
-            TriageModel.load(args.triage_model)
-        except TriageError as exc:
-            raise SystemExit("serve: {}".format(exc))
+    _fail_fast(args)
     service = AnalysisService(config)
-    try:
-        service.start()
-    except (ServicePersistError, StoreError) as exc:
-        raise SystemExit("serve: {}".format(exc))
+    service.start()
     server = make_server(service)
     print(
         "[serve] listening on {}:{} ({} workers, queue depth {})".format(
@@ -1066,10 +1017,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             signal.signal(sig, handler)
     drained = service.drain(timeout=300.0)
     server.server_close()
-    if args.metrics_out:
-        _write_json(args.metrics_out, service.registry.to_dict())
-    if args.trace_out:
-        write_trace(service.trace_dicts(), args.trace_out, fmt=args.trace_format)
+    _write_observations(args, service.trace_dicts(), service.registry.to_dict())
     print(
         "[serve] drained: {} completed, {} failed, {} cache hits, "
         "{} pipeline runs, {} rejected".format(
@@ -1085,21 +1033,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0 if drained else 1
 
 
-def _service_client(args: argparse.Namespace):
-    from repro.service import ServiceClient
-
-    return ServiceClient(args.host, args.port)
-
-
-def _print_json(payload) -> None:
-    import json as json_module
-
-    print(json_module.dumps(payload, indent=1, sort_keys=True))
-
-
 def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClientError
-
     client = _service_client(args)
     spec = {
         "kind": "corpus",
@@ -1113,28 +1047,20 @@ def cmd_submit(args: argparse.Namespace) -> int:
         spec["triage"] = args.triage
     if args.triage_threshold:
         spec["triage_threshold"] = args.triage_threshold
-    try:
-        response = client.submit(spec, client=args.client, priority=args.priority)
-        if args.wait and response["state"] != "done":
-            response = client.wait(response["job_id"], timeout=args.timeout)
-        elif args.wait:
-            response = client.job(response["job_id"])
-        _print_json(response)
-        if args.wait and args.result:
-            _print_json(client.result(response["digest"]))
-    except ServiceClientError as exc:
-        raise SystemExit("submit: {}".format(exc))
+    response = client.submit(spec, client=args.client, priority=args.priority)
+    if args.wait and response["state"] != "done":
+        response = client.wait(response["job_id"], timeout=args.timeout)
+    elif args.wait:
+        response = client.job(response["job_id"])
+    _print_json(response)
+    if args.wait and args.result:
+        _print_json(client.result(response["digest"]))
     return 0
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClientError
-
     client = _service_client(args)
-    try:
-        _print_json(client.job(args.job) if args.job else client.stats())
-    except ServiceClientError as exc:
-        raise SystemExit("status: {}".format(exc))
+    _print_json(client.job(args.job) if args.job else client.stats())
     return 0
 
 
@@ -1176,12 +1102,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _pick_record(args: argparse.Namespace):
-    generator = CorpusGenerator(seed=args.seed)
-    blueprints = generator.sample_blueprints(args.apps)
+    generator, blueprints = _corpus_blueprints(args)
     if args.index is not None:
-        if not 0 <= args.index < len(blueprints):
-            raise SystemExit("index out of range (corpus has {} apps)".format(len(blueprints)))
-        return generator.build_record(blueprints[args.index])
+        return generator.build_record(blueprints[0])
     predicates = {
         "baidu": lambda b: b.is_baidu_remote,
         "malware": lambda b: b.malware_family is not None,
@@ -1198,7 +1121,7 @@ def _pick_record(args: argparse.Namespace):
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     record = _pick_record(args)
-    dydroid = DyDroid(DyDroidConfig(train_samples_per_family=3))
+    dydroid = DyDroid(_pipeline_config(args, train_samples_per_family=3))
     analysis = dydroid.analyze_app(record)
 
     print("package:   ", analysis.package)
@@ -1233,110 +1156,93 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_defend(args: argparse.Namespace) -> int:
-    from repro.defense.firewall import POLICIES, QuarantineStore, replay_quarantined
-    from repro.store import StoreError
-
-    if args.defend_command == "eval":
-        from repro.defense.evaluation import evaluate_defense
-
-        started = time.perf_counter()
-        try:
-            evaluation = evaluate_defense(
-                args.apps,
-                seed=args.seed,
-                policy=args.policy,
-                verdict_store=args.verdict_store or "",
-                quarantine_dir=args.quarantine_dir or "",
-                config=DyDroidConfig(train_samples_per_family=args.train),
-                workers=args.workers,
-                profile=_corpus_profile(args),
-            )
-        except (StoreError, ValueError) as exc:
-            raise SystemExit("defend eval: {}".format(exc))
-        if args.json:
-            _print_json(evaluation.to_dict())
-        else:
-            print(evaluation.render())
-            print()
-            print(evaluation.defended_report.render_defense_table())
-        print(
-            "[defend eval: {} apps x2 phases in {:.1f}s; {}/{} hazards blocked, "
-            "{} benign broken]".format(
-                args.apps,
-                time.perf_counter() - started,
-                len(evaluation.blocked_hazards),
-                len(evaluation.exposed_hazards),
-                len(evaluation.broken_benign),
-            ),
-            file=sys.stderr,
+def cmd_defend_eval(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
+    with _exit_on(args, ValueError):
+        evaluation = evaluate_defense(
+            args.apps,
+            seed=args.seed,
+            policy=args.policy,
+            verdict_store=args.verdict_store or "",
+            quarantine_dir=args.quarantine_dir or "",
+            config=_pipeline_config(args),
+            workers=args.workers,
+            profile=_corpus_profile(args),
         )
+    if args.json:
+        _print_json(evaluation.to_dict())
+    else:
+        print(evaluation.render())
+        print()
+        print(evaluation.defended_report.render_defense_table())
+    print(
+        "[defend eval: {} apps x2 phases in {:.1f}s; {}/{} hazards blocked, "
+        "{} benign broken]".format(
+            args.apps,
+            time.perf_counter() - started,
+            len(evaluation.blocked_hazards),
+            len(evaluation.exposed_hazards),
+            len(evaluation.broken_benign),
+        ),
+        file=sys.stderr,
+    )
+    return 0
+
+
+def cmd_defend_replay(args: argparse.Namespace) -> int:
+    if not os.path.isdir(args.quarantine_dir):
+        raise SystemExit(
+            "defend replay: no quarantine directory at {}".format(args.quarantine_dir)
+        )
+    store = QuarantineStore(args.quarantine_dir)
+    digests = [args.digest] if args.digest else store.digests()
+    if args.digest and args.digest not in store.digests():
+        raise SystemExit(
+            "defend replay: no quarantined payload {}".format(args.digest)
+        )
+    results = [replay_quarantined(store, digest) for digest in digests]
+    if args.json:
+        _print_json(results)
         return 0
+    for result in results:
+        print("payload {} ({}, rule {})".format(
+            result["digest"][:16], result["kind"], result["rule"]))
+        print("  original path:", result["source_path"])
+        print("  sandbox load: ", "error: " + result["error"]
+              if result["error"] else "ok")
+        print("  events:        dex={} native={}".format(
+            result["dex_events"], result["native_events"]))
+        for line in result["logcat"]:
+            print("  logcat:", line)
+        for exfil in result["exfiltrated"]:
+            print("  EXFIL: {} ({} bytes)".format(exfil["url"], exfil["n_bytes"]))
+    return 0
 
-    if args.defend_command == "replay":
-        import os
 
-        if not os.path.isdir(args.quarantine_dir):
-            raise SystemExit(
-                "defend replay: no quarantine directory at {}".format(args.quarantine_dir)
-            )
-        store = QuarantineStore(args.quarantine_dir)
-        digests = [args.digest] if args.digest else store.digests()
-        if args.digest and args.digest not in store.digests():
-            raise SystemExit(
-                "defend replay: no quarantined payload {}".format(args.digest)
-            )
-        results = [replay_quarantined(store, digest) for digest in digests]
-        if args.json:
-            _print_json(results)
-        else:
-            for result in results:
-                print("payload {} ({}, rule {})".format(
-                    result["digest"][:16], result["kind"], result["rule"]))
-                print("  original path:", result["source_path"])
-                print("  sandbox load: ", "error: " + result["error"]
-                      if result["error"] else "ok")
-                print("  events:        dex={} native={}".format(
-                    result["dex_events"], result["native_events"]))
-                for line in result["logcat"]:
-                    print("  logcat:", line)
-                for exfil in result["exfiltrated"]:
-                    print("  EXFIL: {} ({} bytes)".format(exfil["url"], exfil["n_bytes"]))
+def cmd_defend_debloat(args: argparse.Namespace) -> int:
+    generator, blueprints = _corpus_blueprints(args)
+    records = [generator.build_record(blueprint) for blueprint in blueprints]
+    manifests = [manifest for _, manifest in debloat_corpus(records)]
+    if args.json:
+        _print_json([manifest.to_dict() for manifest in manifests])
         return 0
+    for manifest in manifests:
+        if not manifest.rewritten:
+            continue
+        print("{}: shelved {} site(s), kept {} reachable".format(
+            manifest.package, len(manifest.shelved),
+            manifest.reachable_loader_sites))
+        for site in manifest.shelved:
+            print("  - {}.{} [{}] in {}".format(
+                site.class_name, site.method_name,
+                site.mechanism, site.dex_entry))
+    print("[debloat: {}/{} apps rewritten, {} site(s) shelved]".format(
+        sum(1 for m in manifests if m.rewritten), len(manifests),
+        sum(len(m.shelved) for m in manifests)))
+    return 0
 
-    if args.defend_command == "debloat":
-        from repro.defense.debloat import debloat_corpus
 
-        generator = CorpusGenerator(seed=args.seed)
-        blueprints = generator.sample_blueprints(args.apps)
-        if args.index is not None:
-            if not 0 <= args.index < len(blueprints):
-                raise SystemExit(
-                    "index out of range (corpus has {} apps)".format(len(blueprints))
-                )
-            blueprints = [blueprints[args.index]]
-        records = [generator.build_record(blueprint) for blueprint in blueprints]
-        pairs = debloat_corpus(records)
-        manifests = [manifest for _, manifest in pairs]
-        if args.json:
-            _print_json([manifest.to_dict() for manifest in manifests])
-        else:
-            for manifest in manifests:
-                if not manifest.rewritten:
-                    continue
-                print("{}: shelved {} site(s), kept {} reachable".format(
-                    manifest.package, len(manifest.shelved),
-                    manifest.reachable_loader_sites))
-                for site in manifest.shelved:
-                    print("  - {}.{} [{}] in {}".format(
-                        site.class_name, site.method_name,
-                        site.mechanism, site.dex_entry))
-            print("[debloat: {}/{} apps rewritten, {} site(s) shelved]".format(
-                sum(1 for m in manifests if m.rewritten), len(manifests),
-                sum(len(m.shelved) for m in manifests)))
-        return 0
-
-    # policies
+def cmd_defend_policies(_: argparse.Namespace) -> int:
     for name in sorted(POLICIES):
         policy = POLICIES[name]
         mode = "enforce" if policy.enforce else "observe"
@@ -1344,86 +1250,73 @@ def cmd_defend(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_triage(args: argparse.Namespace) -> int:
-    from repro.triage import TriageError, TriageModel
-
-    if args.triage_command == "train":
-        from repro.triage.harness import train_triage_model
-
-        started = time.perf_counter()
-        try:
-            model, summary = train_triage_model(
-                args.apps,
-                seed=args.seed,
-                ratio=args.ratio,
-                split_seed=args.split_seed,
-                epochs=args.epochs,
-                learning_rate=args.learning_rate,
-                l2=args.l2,
-                train_seed=args.train_seed,
-                harvest=args.harvest,
-                aux_corpora=args.aux_corpora,
-            )
-        except (TriageError, ValueError) as exc:
-            raise SystemExit("triage train: {}".format(exc))
-        model.save(args.out)
-        if args.json:
-            _print_json(dict(summary, model=args.out))
-        else:
-            print("model:              ", args.out)
-            print("config fingerprint: ", summary["config_fingerprint"][:16])
-            print("training sessions:  ", "{} ({} hazard)".format(
-                summary["n_samples"], summary["n_hazard"]))
-            print("  corpus split:     ", "{} sessions".format(
-                summary["train_sessions"] - summary["aux_sessions"]))
-            print("  aux corpora:      ", "{} sessions from {} corpora".format(
-                summary["aux_sessions"], args.aux_corpora))
-            print("  harvested:        ", summary["harvested"])
-        print(
-            "[triage train: {} sessions ({} hazard) in {:.1f}s -> {}]".format(
-                summary["n_samples"], summary["n_hazard"],
-                time.perf_counter() - started, args.out,
-            ),
-            file=sys.stderr,
+def cmd_triage_train(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
+    with _exit_on(args, ValueError):
+        model, summary = train_triage_model(
+            args.apps,
+            seed=args.seed,
+            ratio=args.ratio,
+            split_seed=args.split_seed,
+            epochs=args.epochs,
+            learning_rate=args.learning_rate,
+            l2=args.l2,
+            train_seed=args.train_seed,
+            harvest=args.harvest,
+            aux_corpora=args.aux_corpora,
         )
-        return 0
+    model.save(args.out)
+    if args.json:
+        _print_json(dict(summary, model=args.out))
+    else:
+        print("model:              ", args.out)
+        print("config fingerprint: ", summary["config_fingerprint"][:16])
+        print("training sessions:  ", "{} ({} hazard)".format(
+            summary["n_samples"], summary["n_hazard"]))
+        print("  corpus split:     ", "{} sessions".format(
+            summary["train_sessions"] - summary["aux_sessions"]))
+        print("  aux corpora:      ", "{} sessions from {} corpora".format(
+            summary["aux_sessions"], args.aux_corpora))
+        print("  harvested:        ", summary["harvested"])
+    print(
+        "[triage train: {} sessions ({} hazard) in {:.1f}s -> {}]".format(
+            summary["n_samples"], summary["n_hazard"],
+            time.perf_counter() - started, args.out,
+        ),
+        file=sys.stderr,
+    )
+    return 0
 
-    if args.triage_command == "eval":
-        from repro.triage.harness import evaluate_triage
 
-        started = time.perf_counter()
-        try:
-            model = TriageModel.load(args.model)
-            evaluation = evaluate_triage(
-                model,
-                args.apps,
-                seed=args.seed,
-                threshold=args.threshold,
-                ratio=args.ratio,
-                split_seed=args.split_seed,
-                config=DyDroidConfig(train_samples_per_family=args.train),
-            )
-        except (TriageError, ValueError) as exc:
-            raise SystemExit("triage eval: {}".format(exc))
-        if args.json:
-            _print_json(evaluation.to_dict())
-        else:
-            print(evaluation.render())
-        print(
-            "[triage eval: {} held-out sessions in {:.1f}s; recall {:.1%}, "
-            "short-circuit {:.1%}]".format(
-                evaluation.n_sessions, time.perf_counter() - started,
-                evaluation.recall, evaluation.short_circuit_rate,
-            ),
-            file=sys.stderr,
+def cmd_triage_eval(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
+    with _exit_on(args, ValueError):
+        evaluation = evaluate_triage(
+            TriageModel.load(args.model),
+            args.apps,
+            seed=args.seed,
+            threshold=args.threshold,
+            ratio=args.ratio,
+            split_seed=args.split_seed,
+            config=_pipeline_config(args),
         )
-        return 0
+    if args.json:
+        _print_json(evaluation.to_dict())
+    else:
+        print(evaluation.render())
+    print(
+        "[triage eval: {} held-out sessions in {:.1f}s; recall {:.1%}, "
+        "short-circuit {:.1%}]".format(
+            evaluation.n_sessions, time.perf_counter() - started,
+            evaluation.recall, evaluation.short_circuit_rate,
+        ),
+        file=sys.stderr,
+    )
+    return 0
 
-    # inspect
-    try:
-        model = TriageModel.load(args.model)
-    except TriageError as exc:
-        raise SystemExit("triage inspect: {}".format(exc))
+
+def cmd_triage_inspect(args: argparse.Namespace) -> int:
+    model = TriageModel.load(args.model)
     if args.json:
         _print_json(model.to_dict())
         return 0
@@ -1445,20 +1338,14 @@ def cmd_triage(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.observe import load_spans, render_summary
-
     # A missing or empty trace is a normal outcome (tracing disabled, run
     # produced nothing), not an error: say so plainly and exit 0 so
     # pipelines like `repro ... && repro trace summary` do not break.
     if not os.path.exists(args.trace_file):
         print("no spans recorded ({} does not exist)".format(args.trace_file))
         return 0
-    try:
+    with _exit_on(args, OSError, ValueError):
         spans = load_spans(args.trace_file)
-    except (OSError, ValueError) as exc:
-        raise SystemExit("trace summary: {}".format(exc))
     if not spans:
         print("no spans recorded ({} is empty)".format(args.trace_file))
         return 0
@@ -1467,31 +1354,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _top_snapshot(args: argparse.Namespace):
-    import json as json_module
-
-    from repro.observe.prom import PromParseError
-    from repro.observe.top import build_daemon_snapshot, build_farm_snapshot
-
     if args.status:
-        try:
+        with _exit_on(args, OSError, ValueError):
             with open(args.status, "r", encoding="utf-8") as handle:
-                return build_farm_snapshot(json_module.load(handle))
-        except (OSError, ValueError) as exc:
-            raise SystemExit("top: {}".format(exc))
-    from repro.service import ServiceClientError
-
+                return build_farm_snapshot(json.load(handle))
     client = _service_client(args)
     try:
         return build_daemon_snapshot(client.stats(), client.metrics_prom())
-    except ServiceClientError as exc:
-        raise SystemExit("top: {}".format(exc))
     except PromParseError as exc:
         raise SystemExit("top: daemon served invalid Prometheus text: {}".format(exc))
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    from repro.observe.top import render_top
-
     if args.once:
         _print_json(_top_snapshot(args))
         return 0
@@ -1509,15 +1383,9 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.observe.prom import to_prometheus
-
-    try:
+    with _exit_on(args, OSError, ValueError):
         with open(args.metrics_file, "r", encoding="utf-8") as handle:
-            payload = json_module.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SystemExit("metrics export: {}".format(exc))
+            payload = json.load(handle)
     if not isinstance(payload, dict):
         raise SystemExit("metrics export: {} is not a JSON object".format(args.metrics_file))
     # farm/evolve --metrics-out wraps the registry in a summary document.
@@ -1533,24 +1401,21 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_families(_: argparse.Namespace) -> int:
-    from repro.static_analysis.malware.families import TABLE_VII_FAMILIES, all_families
-
     for family in all_families():
         marker = "  (Table VII)" if family in TABLE_VII_FAMILIES else ""
         print(family + marker)
     return 0
 
 
-def cmd_ecosystems(args: argparse.Namespace) -> int:
-    from repro.ecosystems import ECOSYSTEMS
+def cmd_ecosystems_list(_: argparse.Namespace) -> int:
+    width = max(len(key) for key in ECOSYSTEMS)
+    for key in sorted(ECOSYSTEMS):
+        spec = ECOSYSTEMS[key]
+        print("{:<{w}}  {}".format(key, spec.title, w=width))
+    return 0
 
-    if args.ecosystems_command == "list":
-        width = max(len(key) for key in ECOSYSTEMS)
-        for key in sorted(ECOSYSTEMS):
-            spec = ECOSYSTEMS[key]
-            print("{:<{w}}  {}".format(key, spec.title, w=width))
-        return 0
 
+def cmd_ecosystems_describe(args: argparse.Namespace) -> int:
     spec = ECOSYSTEMS.get(args.key)
     if spec is None:
         raise SystemExit(
@@ -1571,26 +1436,9 @@ def cmd_ecosystems(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "measure": cmd_measure,
-        "farm": cmd_farm,
-        "evolve": cmd_evolve,
-        "defend": cmd_defend,
-        "triage": cmd_triage,
-        "serve": cmd_serve,
-        "submit": cmd_submit,
-        "status": cmd_status,
-        "top": cmd_top,
-        "metrics": cmd_metrics,
-        "store": cmd_store,
-        "corpus": cmd_corpus,
-        "ecosystems": cmd_ecosystems,
-        "analyze": cmd_analyze,
-        "families": cmd_families,
-        "trace": cmd_trace,
-    }
     try:
-        return handlers[args.command](args)
+        with _exit_on(args):
+            return args.handler(args)
     except KeyboardInterrupt:
         # ctrl-C on a long farm run / serve session: one line, conventional
         # 128+SIGINT exit status, no traceback wall.
@@ -1600,7 +1448,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # output piped into head/less that exited early -- not an error.
         try:
             sys.stdout.close()
-        except Exception:
+        except OSError:
             pass
         return 0
 

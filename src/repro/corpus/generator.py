@@ -66,6 +66,10 @@ MALWARE_SDK_PACKAGE = "com.pushmob.plugin"
 CHATHOOK_SDK_PACKAGE = "com.hookassist.core"
 
 
+class CorpusTooSmallError(RuntimeError):
+    """The requested corpus has too few apps to plant every rare role."""
+
+
 @dataclass
 class AppBlueprint:
     """Ground-truth feature vector for one generated app."""
@@ -254,7 +258,7 @@ class CorpusGenerator:
                     if blueprint.native_entity is None:
                         blueprint.native_entity = "third"
                 return blueprint
-            raise RuntimeError("corpus too small to plant all rare roles")
+            raise CorpusTooSmallError("corpus too small to plant all rare roles")
 
         # anti-decompilation apps (Table VI row 5).
         for _ in range(profile.planted_count(profile.n_anti_decompilation_apps, n_apps)):
@@ -354,7 +358,7 @@ class CorpusGenerator:
                 if blueprint.dex_entity is None:
                     blueprint.dex_entity = "third"
                 return blueprint
-            raise RuntimeError("corpus too small to plant all ecosystem roles")
+            raise CorpusTooSmallError("corpus too small to plant all ecosystem roles")
 
         for _ in range(profile.planted_count(profile.n_plugin_host_apps, n_apps)):
             claim().is_plugin_host = True
