@@ -26,10 +26,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.android.dex import DexFile, is_dex_bytes, is_encrypted_dex_bytes
+from repro.android.dex import (
+    DexFile,
+    DexFormatError,
+    is_dex_bytes,
+    is_encrypted_dex_bytes,
+)
 from repro.android.manifest import AndroidManifest
 from repro.android.nativelib import NativeLibrary, is_native_bytes
 
+APK_MAGIC = b"PK\x03\x04"
 MANIFEST_ENTRY = "AndroidManifest.xml"
 PRIMARY_DEX_ENTRY = "classes.dex"
 ANTI_DECOMPILATION_ENTRY = "res/raw/odd.arsc"
@@ -174,17 +180,25 @@ class Apk:
         payload = {
             path: data.hex() for path, data in sorted(self.entries.items())
         }
-        return b"PK\x03\x04" + json.dumps(payload, sort_keys=True).encode("utf-8")
+        return APK_MAGIC + json.dumps(payload, sort_keys=True).encode("utf-8")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Apk":
-        if not data.startswith(b"PK\x03\x04"):
+        """Parse archive bytes; any malformed body is an :class:`ApkFormatError`."""
+        if not data.startswith(APK_MAGIC):
             raise ApkFormatError("bad magic; not an APK")
         try:
-            payload = json.loads(data[4:].decode("utf-8"))
-            return cls(entries={p: bytes.fromhex(h) for p, h in payload.items()})
-        except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
+            payload = json.loads(data[len(APK_MAGIC):].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ApkFormatError("corrupt APK body") from exc
+        if not isinstance(payload, dict) or not all(
+            isinstance(hex_data, str) for hex_data in payload.values()
+        ):
+            raise ApkFormatError("APK body is not a map of entry path -> hex bytes")
+        try:
+            return cls(entries={p: bytes.fromhex(h) for p, h in payload.items()})
+        except ValueError as exc:
+            raise ApkFormatError("corrupt APK entry data") from exc
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_bytes()).hexdigest()
@@ -192,3 +206,28 @@ class Apk:
     def clone(self) -> "Apk":
         """Deep copy, used by the rewriter before repacking."""
         return Apk(entries=dict(self.entries))
+
+
+def loadable_dex(data: bytes, path: str = "") -> Optional[DexFile]:
+    """The bytecode a class loader defines from one ``dexPath`` file.
+
+    Bare DEX/ODEX decodes as-is.  An APK/JAR/ZIP-style container decodes
+    as the multidex merge of its DEX members, named after ``path``'s
+    basename, and is ``None`` when it holds no classes.  Anything else --
+    encrypted, native, foreign or malformed bytes -- is ``None``.
+    """
+    if is_dex_bytes(data):
+        try:
+            return DexFile.from_bytes(data)
+        except DexFormatError:
+            return None
+    if not data.startswith(APK_MAGIC):
+        return None
+    try:
+        members = Apk.from_bytes(data).dex_files()
+    except (ApkFormatError, DexFormatError):
+        return None
+    merged = DexFile(source_name=path.rsplit("/", 1)[-1])
+    for dex in members:
+        merged.merge(dex)
+    return merged if merged.classes else None

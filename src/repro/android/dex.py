@@ -17,14 +17,22 @@ Three derived artifact forms are provided, matching the paper:
   by DEX-encryption app-hardening services (Bangcle/Ijiami-style); encrypted
   payloads are *not* parseable as DEX, which is exactly why packers defeat
   static analysis.
+
+Inside a :func:`decode_scope` (``DyDroid.analyze_app`` enters one per app),
+:meth:`DexFile.from_bytes` decodes each distinct byte string once and
+hands every later caller the same frozen object: its containers are
+tuples and its attributes refuse assignment.  Outside a scope every call
+returns a fresh, mutable :class:`DexFile`.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.android.bytecode import (
     Cmp,
@@ -160,20 +168,18 @@ class DexFile:
 
         Raises :class:`DexFormatError` for foreign or encrypted payloads --
         the same failure a real disassembler hits on a packed resource.
+        Inside a :func:`decode_scope` the result is shared and frozen.
         """
-        if data.startswith(DEX_MAGIC):
-            body = data[len(DEX_MAGIC):]
-        elif data.startswith(ODEX_MAGIC):
-            body = data[len(ODEX_MAGIC):]
-        elif data.startswith(ENCRYPTED_MAGIC):
-            raise DexFormatError("payload is encrypted; not valid DEX")
+        scope = _SCOPE.get()
+        if scope is None:
+            return _parse_dex(data)
+        dex = scope.decoded.get(data)
+        if dex is None:
+            dex = scope.decoded[data] = _freeze(_parse_dex(data))
+            scope.decodes += 1
         else:
-            raise DexFormatError("bad magic; not a DEX file")
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DexFormatError("corrupt DEX body") from exc
-        return _decode_dex(payload)
+            scope.hits += 1
+        return dex
 
     def to_odex(self) -> bytes:
         """The optimized form the class loader emits into optimizedDirectory."""
@@ -197,6 +203,117 @@ class DexFile:
         if not data.startswith(ENCRYPTED_MAGIC):
             raise DexFormatError("payload is not an encrypted DEX")
         return cls.from_bytes(_xor(data[len(ENCRYPTED_MAGIC):], key))
+
+
+def _parse_dex(data: bytes) -> DexFile:
+    if data.startswith(DEX_MAGIC):
+        body = data[len(DEX_MAGIC):]
+    elif data.startswith(ODEX_MAGIC):
+        body = data[len(ODEX_MAGIC):]
+    elif data.startswith(ENCRYPTED_MAGIC):
+        raise DexFormatError("payload is encrypted; not valid DEX")
+    else:
+        raise DexFormatError("bad magic; not a DEX file")
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise DexFormatError("corrupt DEX body") from exc
+    return _decode_dex(payload)
+
+
+# -- the per-app decode scope --------------------------------------------------
+
+
+class DecodeScope:
+    """One scope's decoded DEX files, keyed by the bytes they came from."""
+
+    def __init__(self) -> None:
+        self.decoded: Dict[bytes, DexFile] = {}
+        #: real decodes and cache hits since the last :meth:`drain`.
+        self.decodes = 0
+        self.hits = 0
+
+    def drain(self) -> Tuple[int, int]:
+        """``(decodes, hits)`` since the last drain; resets both."""
+        counts = (self.decodes, self.hits)
+        self.decodes = self.hits = 0
+        return counts
+
+
+#: per thread (and per process): worker threads never see each other's IR.
+_SCOPE: "contextvars.ContextVar[Optional[DecodeScope]]" = contextvars.ContextVar(
+    "dex_decode_scope", default=None
+)
+
+
+@contextmanager
+def decode_scope() -> Iterator[DecodeScope]:
+    """Share one frozen decode of each DEX byte string until the block exits.
+
+    A nested entry reuses the enclosing scope; the outermost exit drops
+    the decoded IR, so nothing outlives the block that decoded it.
+    """
+    scope = _SCOPE.get()
+    if scope is not None:
+        yield scope
+        return
+    scope = DecodeScope()
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
+
+
+def _immutable(obj: object, name: str) -> AttributeError:
+    base = type(obj).__mro__[2].__name__  # (_FrozenX, _Frozen, X, ...)
+    return AttributeError(
+        "{}.{}: DEX IR decoded in a decode scope is shared and immutable"
+        .format(base, name)
+    )
+
+
+class _Frozen:
+    """Refuses attribute sets and deletes on IR shared through a scope."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise _immutable(self, name)
+
+    def __delattr__(self, name: str) -> None:
+        raise _immutable(self, name)
+
+
+class _FrozenDexField(_Frozen, DexField):
+    pass
+
+
+class _FrozenDexMethod(_Frozen, DexMethod):
+    pass
+
+
+class _FrozenDexClass(_Frozen, DexClass):
+    pass
+
+
+class _FrozenDexFile(_Frozen, DexFile):
+    pass
+
+
+def _freeze(dex: DexFile) -> DexFile:
+    """Make freshly decoded IR immutable in place: tuples for every
+    container, then a class swap to the attribute-refusing subclasses."""
+    for cls in dex.classes:
+        for method in cls.methods:
+            method.instructions = tuple(method.instructions)
+            method.__class__ = _FrozenDexMethod
+        for dex_field in cls.fields:
+            dex_field.__class__ = _FrozenDexField
+        cls.methods = tuple(cls.methods)
+        cls.fields = tuple(cls.fields)
+        cls.__class__ = _FrozenDexClass
+    dex.classes = tuple(dex.classes)
+    dex.__class__ = _FrozenDexFile
+    return dex
 
 
 def is_dex_bytes(data: bytes) -> bool:

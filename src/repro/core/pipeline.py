@@ -16,6 +16,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Generic, Optional, Sequence, Set, TypeVar, Union
 
+from repro.android.dex import decode_scope
 from repro.core.config import DyDroidConfig
 from repro.core.report import AppAnalysis, MeasurementReport, PayloadVerdict
 from repro.corpus.generator import AppRecord
@@ -128,10 +129,16 @@ class DyDroid:
     # -- per-app analysis ------------------------------------------------------------
 
     def analyze_app(self, record: AppRecord) -> AppAnalysis:
-        with self.tracer.span(
+        # Every layer below decodes the app's DEX through one scope: each
+        # distinct byte string is decoded once, then served as frozen IR.
+        with decode_scope() as scope, self.tracer.span(
             "app", package=record.package, index=record.blueprint.index
         ):
-            return self._analyze_app(record)
+            analysis = self._analyze_app(record)
+        for name, count in zip(("dex.decodes", "dex.decode_hits"), scope.drain()):
+            if count:
+                self.metrics.counter(name).inc(count)
+        return analysis
 
     def _analyze_app(self, record: AppRecord) -> AppAnalysis:
         analysis = AppAnalysis(

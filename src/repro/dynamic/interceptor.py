@@ -14,12 +14,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.android.dex import (
-    DexFile,
-    DexFormatError,
-    is_dex_bytes,
-    is_encrypted_dex_bytes,
-)
+from repro.android.apk import APK_MAGIC, loadable_dex
+from repro.android.dex import DexFile, is_dex_bytes, is_encrypted_dex_bytes
 from repro.android.nativelib import NativeFormatError, NativeLibrary, is_native_bytes
 from repro.runtime.device import Device
 from repro.runtime.instrumentation import (
@@ -46,7 +42,7 @@ def classify_payload(data: bytes) -> PayloadKind:
         return PayloadKind.NATIVE
     if is_encrypted_dex_bytes(data):
         return PayloadKind.ENCRYPTED
-    if data.startswith(b"PK\x03\x04"):
+    if data.startswith(APK_MAGIC):
         return PayloadKind.APK
     return PayloadKind.UNKNOWN
 
@@ -64,25 +60,9 @@ class InterceptedPayload:
     timestamp_ms: int
 
     def as_dex(self) -> Optional[DexFile]:
-        if self.kind is PayloadKind.APK:
-            # Containers analyze as the merge of their dex members, the
-            # same view the classloader defines from them.
-            from repro.android.apk import Apk, ApkFormatError
-
-            try:
-                container = Apk.from_bytes(self.data)
-            except ApkFormatError:
-                return None
-            merged = DexFile(source_name=self.path.rsplit("/", 1)[-1])
-            for dex in container.dex_files():
-                merged.merge(dex)
-            return merged if merged.classes else None
-        if self.kind is not PayloadKind.DEX:
-            return None
-        try:
-            return DexFile.from_bytes(self.data)
-        except DexFormatError:
-            return None
+        """The payload's loadable bytecode: the same view the classloader
+        defines from it (containers merge their dex members)."""
+        return loadable_dex(self.data, self.path)
 
     def as_native(self) -> Optional[NativeLibrary]:
         if self.kind is not PayloadKind.NATIVE:

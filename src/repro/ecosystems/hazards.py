@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Set, Tuple
 
-from repro.android.apk import Apk, ApkFormatError
-from repro.android.dex import DexFile, DexFormatError, is_dex_bytes
+from repro.android.apk import APK_MAGIC, Apk, ApkFormatError, loadable_dex
+from repro.android.manifest import ManifestError
 from repro.dynamic.provenance import Entity, Provenance
 
 #: a foreign sub-app (an APK container whose own manifest names a package
@@ -42,21 +42,8 @@ ALL_HAZARD_CLASSES: Tuple[str, ...] = (
 
 def payload_class_names(data: bytes) -> Set[str]:
     """Class names defined by a payload: bare DEX or APK/split container."""
-    if is_dex_bytes(data):
-        try:
-            return {cls.name for cls in DexFile.from_bytes(data).classes}
-        except DexFormatError:
-            return set()
-    if data.startswith(b"PK\x03\x04"):
-        try:
-            container = Apk.from_bytes(data)
-        except ApkFormatError:
-            return set()
-        names: Set[str] = set()
-        for dex in container.dex_files():
-            names.update(cls.name for cls in dex.classes)
-        return names
-    return set()
+    dex = loadable_dex(data)
+    return {cls.name for cls in dex.classes} if dex is not None else set()
 
 
 def container_package(data: bytes) -> Optional[str]:
@@ -65,11 +52,11 @@ def container_package(data: bytes) -> Optional[str]:
     ``None`` for anything that is not a parseable APK/split container --
     bare DEX payloads have no package identity of their own.
     """
-    if not data.startswith(b"PK\x03\x04"):
+    if not data.startswith(APK_MAGIC):
         return None
     try:
         return Apk.from_bytes(data).manifest.package
-    except ApkFormatError:
+    except (ApkFormatError, ManifestError):
         return None
 
 

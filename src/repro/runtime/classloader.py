@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.android.dex import DexFile, DexFormatError
+from repro.android.apk import loadable_dex
+from repro.android.dex import DexFile
 from repro.runtime.instrumentation import CodeOriginEvent, DexLoadEvent
 from repro.runtime.objects import VMException, VMObject
 from repro.runtime.stacktrace import call_site_class
@@ -127,28 +128,15 @@ def _read_dex(vm, path: str) -> Optional[DexFile]:
 
     ``dexPath`` entries may be bare DEX/ODEX or APK/JAR/ZIP containers
     (Section II: "stored in files with various formats, such as APK, JAR,
-    ZIP, DEX, and ODEX").
+    ZIP, DEX, and ODEX").  Real loaders tolerate containers without
+    classes.dex until ``loadClass()``, so encrypted or classless files
+    define nothing; any other error is a bug and propagates.
     """
     try:
         data = vm.device.vfs.read(path)
     except FileNotFoundError:
         raise VMException("java.io.FileNotFoundException", path)
-    try:
-        return DexFile.from_bytes(data)
-    except DexFormatError:
-        pass
-    try:
-        from repro.android.apk import Apk
-
-        container = Apk.from_bytes(data)
-        merged = DexFile(source_name=path.rsplit("/", 1)[-1])
-        for dex in container.dex_files():
-            merged.merge(dex)
-        return merged if merged.classes else None
-    except Exception:
-        # Real loaders tolerate containers without classes.dex until
-        # loadClass(); encrypted payloads land here.
-        return None
+    return loadable_dex(data, path)
 
 
 def _write_odex(vm, dex: DexFile, dex_path: str, optimized_dir: Optional[str]) -> None:

@@ -732,3 +732,19 @@ class TestServiceObservability:
             assert stats["queue"]["max_depth"] == 8
             assert stats["jobs"]["queued"] == 2
             assert json.dumps(stats)  # JSON-plain all the way down
+
+
+# -- hostile uploads ------------------------------------------------------------------
+
+
+class TestMalformedUpload:
+    def test_wrong_shape_apk_body_gets_400_and_the_daemon_keeps_serving(self):
+        encoded = base64.b64encode(b'PK\x03\x04{"classes.dex": null}').decode("ascii")
+        with running_service() as (service, client):
+            bad = client.submit({"kind": "apk", "apk_b64": encoded}, expect_error=True)
+            assert bad["_status"] == 400
+            assert "does not decode to an APK" in bad["error"]
+            assert client.healthz()["status"] == "ok"
+            job = client.wait(client.submit(SPEC)["job_id"])
+            assert job["state"] == "done"
+            assert client.stats()["counters"]["service.pipeline.runs"] == 1

@@ -26,6 +26,46 @@ EVOLVE_ARGV = [
 ]
 
 
+FARM_ARGV = [
+    "farm", "run", "--apps", "24", "--seed", "7", "--workers", "2",
+    "--shards", "4", "--train", "2", "--no-replays", "--table", "2",
+]
+
+
+class TestFarmSmoke:
+    def test_cold_run_then_warm_rerun_recomputes_nothing(self, tmp_path):
+        store = str(tmp_path / "verdicts.jsonl")
+        checkpoint = tmp_path / "farm.jsonl"
+        trace_out = tmp_path / "farm-trace.json"
+        cold_out, warm_out = tmp_path / "metrics.json", tmp_path / "warm.json"
+        assert main(FARM_ARGV + [
+            "--checkpoint", str(checkpoint), "--metrics-out", str(cold_out),
+            "--verdict-store", store,
+            "--trace-out", str(trace_out), "--trace-format", "chrome",
+        ]) == 0
+        metrics = json.loads(cold_out.read_text())
+        assert metrics["apps_analyzed"] == 24, metrics
+        assert metrics["apps_quarantined"] == 0, metrics
+        # cold store: every distinct payload digest missed at least once
+        # (parallel shards may race on a shared digest, never under-count)
+        detection = metrics["verdict_store"]["detection"]
+        assert detection["misses"] >= metrics["verdict_cache"]["detection"]["misses"] > 0
+        assert len(checkpoint.read_text().splitlines()) == 1 + 24
+        events = json.loads(trace_out.read_text())["traceEvents"]
+        assert events, "empty farm trace"
+        for event in events:
+            assert event["ph"] == "X" and event["name"], event
+            assert "ts" in event and "dur" in event, event
+
+        assert main(FARM_ARGV + [
+            "--verdict-store", store, "--metrics-out", str(warm_out),
+        ]) == 0
+        warm = json.loads(warm_out.read_text())["verdict_store"]
+        for kind in ("detection", "privacy"):
+            assert warm[kind]["misses"] == 0, warm
+            assert warm[kind]["hits"] > 0, warm
+
+
 class TestEvolutionSmoke:
     def test_cold_then_warm_run_dedups_and_diffs_stay_stable(self, tmp_path, capsys):
         warehouse = str(tmp_path / "warehouse.jsonl")
