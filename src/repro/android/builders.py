@@ -18,7 +18,7 @@ import itertools
 from typing import List, Optional
 
 from repro.android import bytecode as bc
-from repro.android.bytecode import Cmp, FieldRef, Instruction, MethodRef, Op
+from repro.android.bytecode import Cmp, FieldRef, Instruction, MethodRef
 from repro.android.dex import DexClass, DexFile, DexMethod
 
 

@@ -127,5 +127,5 @@ class AndroidManifest:
                 ],
                 split=payload.get("split"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
             raise ManifestError("malformed manifest payload") from exc

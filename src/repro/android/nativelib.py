@@ -169,7 +169,7 @@ class NativeLibrary:
             raise NativeFormatError("bad magic; not a native library")
         try:
             payload = json.loads(data[len(ELF_MAGIC):].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise NativeFormatError("corrupt native library body") from exc
         return _decode_library(payload)
 

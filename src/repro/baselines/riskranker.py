@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.android.apk import Apk
+from repro.android.apk import Apk, ApkFormatError
 from repro.android.dex import DexFile, DexFormatError, is_dex_bytes
+from repro.android.manifest import ManifestError
 from repro.static_analysis.decompiler import DecompilationError, Decompiler
 from repro.static_analysis.malware.droidnative import Detection, DroidNative
 from repro.static_analysis.prefilter import prefilter
@@ -78,5 +79,5 @@ class RiskRankerStatic:
 def _safe_package(apk: Apk) -> str:
     try:
         return apk.package
-    except Exception:
+    except (ApkFormatError, ManifestError):
         return "<unparseable>"

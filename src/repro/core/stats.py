@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.report import MeasurementReport
 
@@ -59,7 +59,6 @@ def _mann_whitney_greater(a: Sequence[float], b: Sequence[float]) -> Tuple[float
 def _mann_whitney_normal_approx(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
     pooled = sorted((value, 0) for value in a) + sorted((value, 1) for value in b)
     pooled.sort(key=lambda pair: pair[0])
-    ranks: Dict[int, float] = {}
     rank_sum_a = 0.0
     index = 0
     while index < len(pooled):

@@ -4,14 +4,15 @@ Two shapes of live farm telemetry, both landing next to the checkpoint
 journal:
 
 - **flight recorder** (worker side): each shard keeps its last N events
-  *and* span records in a ring that is atomically rewritten to
-  ``flight-<shard>.jsonl`` on every record.  Atomic rewrite (temp file +
-  ``os.replace``) means the on-disk file always parses -- a SIGKILL can
-  never tear a line -- and always holds the shard's final moments, so a
-  timeout, retry storm, quarantine, or crash can be diagnosed from the
-  dump alone instead of re-running the shard.  Shards that finish clean
-  delete their file: a surviving ``flight-*.jsonl`` *is* the anomaly
-  signal.
+  *and* span records in ``flight-<shard>.jsonl``, so a timeout, retry
+  storm, quarantine, or crash can be diagnosed from the dump alone.
+  Records are appended (one flushed write per emit or span batch); at
+  2N records the file is rewritten once, atomically, to the last N, so
+  each record costs O(1) amortised.  Line 1, a ``{"kind": "header",
+  "capacity": N}`` record, lets :func:`load_flight` return the last N
+  unprompted; a SIGKILL tears at most the final line, which the
+  owned-journal rule drops.  Shards that finish clean delete their file:
+  a surviving ``flight-*.jsonl`` *is* the anomaly signal.
 - **heartbeats + status** (both sides): workers atomically refresh
   ``heartbeat-<shard>.json`` after every app; the coordinator's
   :class:`StatusWriter` thread folds those into a periodically-rewritten
@@ -27,10 +28,10 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, BinaryIO, Dict, List, Optional
 
-from repro.observe.events import EventLog, load_events
-from repro.store.journal import replace_atomically
+from repro.observe.events import Event, EventLog, load_events
+from repro.store.journal import encode, replace_atomically
 
 __all__ = [
     "FlightRecorder",
@@ -55,7 +56,7 @@ def heartbeat_path(directory: str, shard_id: int) -> str:
 
 
 class FlightRecorder:
-    """One shard's crash-safe ring of recent events and spans."""
+    """One shard's crash-safe ring of recent events and spans (one writer)."""
 
     def __init__(
         self, directory: str, shard_id: int, capacity: int = DEFAULT_FLIGHT_CAPACITY
@@ -63,35 +64,52 @@ class FlightRecorder:
         os.makedirs(directory, exist_ok=True)
         self.path = flight_path(directory, shard_id)
         self.shard_id = shard_id
-        #: rewrite-mode sink: every emit atomically rewrites the ring, so
-        #: the file is parseable at every instant of the shard's life.
-        self.events = EventLog(capacity=capacity, sink=self.path, sink_mode="rewrite")
+        #: the in-memory ring; compaction rewrites the file from it.
+        self.events = EventLog(capacity=capacity)
         #: a blocking verdict, retry, timeout, or quarantine marks the
         #: recording worth keeping after a clean shard exit.
         self.dirty = False
+        self._header = encode({"kind": "header", "version": 1, "capacity": capacity})
+        self._handle: Optional[BinaryIO] = None
 
     def emit(self, name: str, level: str = "info", **fields: Any) -> None:
         if level in ("warn", "error"):
             self.dirty = True
-        self.events.emit(name, level=level, **fields)
+        self._append([self.events.emit(name, level=level, **fields)])
 
     def record_spans(self, spans: List[Dict[str, Any]]) -> None:
         """Fold finished span dicts into the ring as ``span`` records."""
-        for span in spans:
+        self._append([
             self.events.emit(
-                "span",
-                level="debug",
-                name_=span["name"],
-                span_id=span["span_id"],
-                parent_id=span["parent_id"],
-                ts=span["ts"],
-                dur=span["dur"],
+                "span", level="debug", name_=span["name"], span_id=span["span_id"],
+                parent_id=span["parent_id"], ts=span["ts"], dur=span["dur"],
                 attrs=span.get("attrs", {}),
             )
+            for span in spans
+        ])
+
+    def _append(self, events: List[Event]) -> None:
+        if self._handle is not None:
+            self._handle.write(b"".join(encode(event.to_dict()) for event in events))
+            self._handle.flush()
+            self._lines += len(events)
+        # the first batch creates the file, header and records in one write.
+        if self._handle is None or self._lines >= 2 * self.events.capacity:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Atomically rewrite the file to the header plus the ring."""
+        records = self.events.to_dicts()
+        if self._handle is not None:
+            self._handle.close()
+        replace_atomically(self.path, (self._header + b"".join(map(encode, records))).decode())
+        self._handle = open(self.path, "ab")
+        self._lines = len(records)
 
     def close(self, keep: Optional[bool] = None) -> None:
         """Finish the recording; delete the file unless it is worth keeping."""
-        self.events.close()
+        if self._handle is not None:
+            self._handle.close()
         if keep is None:
             keep = self.dirty
         if not keep:
@@ -102,8 +120,9 @@ class FlightRecorder:
 
 
 def load_flight(path: str) -> List[Dict[str, Any]]:
-    """Read one flight recording (JSONL event records, torn-tail tolerant)."""
-    return load_events(path)
+    """One flight recording's last ``capacity`` records, oldest first."""
+    header, *records = load_events(path)
+    return records[-header["capacity"]:]
 
 
 # -- heartbeats ----------------------------------------------------------------

@@ -16,11 +16,12 @@ no live session objects -- VM graphs, payload bytes -- cross the process
 boundary or land in the checkpoint journal.
 
 With ``job.flight_dir`` set the shard also streams live telemetry: a
-crash-safe :class:`~repro.farm.flight.FlightRecorder` ring of recent
-events *and* spans (``flight-<shard>.jsonl``, kept only when something
-went wrong) and an atomically-refreshed ``heartbeat-<shard>.json`` after
-every app, which is what the coordinator's status writer and ``repro
-top`` watch for progress and stalls.
+crash-safe, append-and-compact :class:`~repro.farm.flight.FlightRecorder`
+ring of recent events *and* spans (``flight-<shard>.jsonl``, kept only
+when something went wrong) and an atomically-refreshed
+``heartbeat-<shard>.json`` after every app, which is what the
+coordinator's status writer and ``repro top`` watch for progress and
+stalls.
 """
 
 from __future__ import annotations
@@ -118,12 +119,17 @@ def run_shard(job: ShardJob) -> ShardResult:
         nonlocal spans_recorded
         if flight is None:
             return
-        spans = tracer.to_dicts()
-        flight.record_spans(spans[spans_recorded:])
-        spans_recorded = len(spans)
+        # only the spans since the last checkpoint: converting the whole
+        # list per app would make the shard quadratic in its length.
+        new_spans = tracer.spans[spans_recorded:]
+        flight.record_spans([span.to_dict() for span in new_spans])
+        spans_recorded += len(new_spans)
         write_heartbeat(job.flight_dir, job.shard_id, settled, len(job.indices))
 
     if flight is not None:
+        # the heartbeat before the first flight record, so a kill can
+        # never leave a flight file without a heartbeat beside it.
+        write_heartbeat(job.flight_dir, job.shard_id, settled, len(job.indices))
         flight.emit(
             "shard.started", shard=job.shard_id,
             n_apps=len(job.indices), seed=job.corpus_seed,

@@ -13,13 +13,11 @@ so a long-lived daemon leaves a greppable trail on disk::
 Records are plain dicts (``{"seq", "ts", "level", "name", "fields"}``);
 ``seq`` is a monotonic per-log counter, so consumers can detect ring
 eviction (``dropped``) and concurrent writers can prove no record was
-lost or torn.  Two sink modes exist because two consumers need them:
-
-- ``append`` -- write-through, one flushed line per emit (the daemon's
-  audit trail; survives crashes up to the last flush);
-- ``rewrite`` -- atomically rewrite the whole ring on every emit (the
-  farm flight recorder: the on-disk file always parses, always holds the
-  last N records, and a SIGKILL can never tear a line).
+lost or torn.  The sink is write-through: one flushed line per emit, so
+the daemon's audit trail survives a crash up to the last flush, and a
+SIGKILL can tear only the final line, which :func:`load_events` drops.
+The farm flight recorder (:mod:`repro.farm.flight`) keeps a sink-less
+log as its ring and appends batches to its own file.
 
 :data:`NULL_EVENT_LOG` is the zero-cost disabled path, mirroring
 :data:`~repro.observe.tracer.NULL_TRACER`.
@@ -33,7 +31,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.store.journal import read_complete_lines, replace_atomically
+from repro.store.journal import read_complete_lines
 
 __all__ = [
     "EVENT_LEVELS",
@@ -46,8 +44,6 @@ __all__ = [
 
 #: level name -> rank; emits below the log's minimum level are dropped.
 EVENT_LEVELS: Dict[str, int] = {"debug": 10, "info": 20, "warn": 30, "error": 40}
-
-_SINK_MODES = ("append", "rewrite")
 
 
 def _level_rank(level: str) -> int:
@@ -96,25 +92,17 @@ class EventLog:
         capacity: int = 1024,
         sink: Optional[str] = None,
         level: str = "debug",
-        sink_mode: str = "append",
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if sink_mode not in _SINK_MODES:
-            raise ValueError(
-                "unknown sink_mode {!r} (want one of {})".format(
-                    sink_mode, "/".join(_SINK_MODES)
-                )
-            )
         self.capacity = capacity
         self.sink = sink
-        self.sink_mode = sink_mode
         self._min_rank = _level_rank(level)
         self._ring: Deque[Event] = deque(maxlen=capacity)
         self._seq = 0
         self._lock = threading.Lock()
         self._handle = None
-        if sink and sink_mode == "append":
+        if sink:
             self._handle = open(sink, "a", encoding="utf-8")
 
     # -- write -----------------------------------------------------------------
@@ -134,16 +122,7 @@ class EventLog:
                 self._handle.write(json.dumps(event.to_dict(), sort_keys=True))
                 self._handle.write("\n")
                 self._handle.flush()
-            elif self.sink is not None:
-                self._rewrite_locked()
         return event
-
-    def _rewrite_locked(self) -> None:
-        """Atomically replace the sink with the current ring contents."""
-        replace_atomically(
-            self.sink,
-            "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in self._ring),
-        )
 
     # -- read ------------------------------------------------------------------
 
@@ -202,11 +181,11 @@ NULL_EVENT_LOG = NullEventLog()
 def load_events(path: str) -> List[Dict[str, Any]]:
     """Read a JSONL event file, tolerating a torn final line.
 
-    An ``append``-mode sink killed mid-write can leave a partial last
-    record; post-mortem tooling must still read everything before it.
-    The owned-journal rule of :mod:`repro.store.journal` applies: the
-    unterminated tail is not a record, and a corrupt line before it is
-    real corruption and raises.  Blank lines are skipped.
+    A sink killed mid-write can leave a partial last record; post-mortem
+    tooling must still read everything before it.  The owned-journal rule
+    of :mod:`repro.store.journal` applies: the unterminated tail is not a
+    record, and a corrupt line before it is real corruption and raises.
+    Blank lines are skipped.
     """
     events: List[Dict[str, Any]] = []
     for line_no, line in enumerate(read_complete_lines(path)[0], start=1):

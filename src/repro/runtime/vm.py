@@ -343,88 +343,87 @@ class DalvikVM:
         handlers: "List[Tuple[str, str]]",
     ) -> int:
         """Execute one instruction; returns the next pc."""
-        if True:
-            if op is Op.LABEL or op is Op.NOP:
+        if op is Op.LABEL or op is Op.NOP:
+            pc += 1
+        elif op is Op.CONST:
+            regs[insn.args[0]] = insn.args[1]
+            pc += 1
+        elif op is Op.MOVE:
+            regs[insn.args[0]] = regs.get(insn.args[1])
+            pc += 1
+        elif op is Op.NEW_INSTANCE:
+            regs[insn.args[0]] = VMObject(insn.args[1])
+            pc += 1
+        elif op is Op.NEW_ARRAY:
+            size = regs.get(insn.args[1], 0)
+            regs[insn.args[0]] = VMObject("byte[]", payload=bytearray(int(size or 0)))
+            pc += 1
+        elif op is Op.INVOKE:
+            ref, arg_regs = insn.args
+            call_args = [regs.get(r) for r in arg_regs]
+            frame.pending_result = self.invoke(ref, call_args)
+            pc += 1
+        elif op is Op.MOVE_RESULT:
+            regs[insn.args[0]] = frame.pending_result
+            pc += 1
+        elif op is Op.IGET:
+            dst, obj_reg, ref = insn.args
+            regs[dst] = self._iget(regs.get(obj_reg), ref)
+            pc += 1
+        elif op is Op.IPUT:
+            src, obj_reg, ref = insn.args
+            self._iput(regs.get(src), regs.get(obj_reg), ref)
+            pc += 1
+        elif op is Op.SGET:
+            dst, ref = insn.args
+            regs[dst] = self._sget(ref)
+            pc += 1
+        elif op is Op.SPUT:
+            src, ref = insn.args
+            self.statics[(ref.class_name, ref.name)] = regs.get(src)
+            pc += 1
+        elif op is Op.AGET:
+            dst, arr_reg, idx_reg = insn.args
+            regs[dst] = self._aget(regs.get(arr_reg), regs.get(idx_reg))
+            pc += 1
+        elif op is Op.APUT:
+            src, arr_reg, idx_reg = insn.args
+            self._aput(regs.get(src), regs.get(arr_reg), regs.get(idx_reg))
+            pc += 1
+        elif op is Op.IF:
+            cmp, a_reg, b_reg, target = insn.args
+            if self._compare(cmp, regs.get(a_reg), None if b_reg is None else regs.get(b_reg)):
+                pc = self._jump(labels, target, frame)
+            else:
                 pc += 1
-            elif op is Op.CONST:
-                regs[insn.args[0]] = insn.args[1]
-                pc += 1
-            elif op is Op.MOVE:
-                regs[insn.args[0]] = regs.get(insn.args[1])
-                pc += 1
-            elif op is Op.NEW_INSTANCE:
-                regs[insn.args[0]] = VMObject(insn.args[1])
-                pc += 1
-            elif op is Op.NEW_ARRAY:
-                size = regs.get(insn.args[1], 0)
-                regs[insn.args[0]] = VMObject("byte[]", payload=bytearray(int(size or 0)))
-                pc += 1
-            elif op is Op.INVOKE:
-                ref, arg_regs = insn.args
-                call_args = [regs.get(r) for r in arg_regs]
-                frame.pending_result = self.invoke(ref, call_args)
-                pc += 1
-            elif op is Op.MOVE_RESULT:
-                regs[insn.args[0]] = frame.pending_result
-                pc += 1
-            elif op is Op.IGET:
-                dst, obj_reg, ref = insn.args
-                regs[dst] = self._iget(regs.get(obj_reg), ref)
-                pc += 1
-            elif op is Op.IPUT:
-                src, obj_reg, ref = insn.args
-                self._iput(regs.get(src), regs.get(obj_reg), ref)
-                pc += 1
-            elif op is Op.SGET:
-                dst, ref = insn.args
-                regs[dst] = self._sget(ref)
-                pc += 1
-            elif op is Op.SPUT:
-                src, ref = insn.args
-                self.statics[(ref.class_name, ref.name)] = regs.get(src)
-                pc += 1
-            elif op is Op.AGET:
-                dst, arr_reg, idx_reg = insn.args
-                regs[dst] = self._aget(regs.get(arr_reg), regs.get(idx_reg))
-                pc += 1
-            elif op is Op.APUT:
-                src, arr_reg, idx_reg = insn.args
-                self._aput(regs.get(src), regs.get(arr_reg), regs.get(idx_reg))
-                pc += 1
-            elif op is Op.IF:
-                cmp, a_reg, b_reg, target = insn.args
-                if self._compare(cmp, regs.get(a_reg), None if b_reg is None else regs.get(b_reg)):
-                    pc = self._jump(labels, target, frame)
-                else:
-                    pc += 1
-            elif op is Op.GOTO:
-                pc = self._jump(labels, insn.args[0], frame)
-            elif op is Op.RETURN:
-                raise _FrameReturn(regs.get(insn.args[0]))
-            elif op is Op.RETURN_VOID:
-                raise _FrameReturn(None)
-            elif op is Op.THROW:
-                thrown = regs.get(insn.args[0])
-                name = thrown.class_name if isinstance(thrown, VMObject) else "java.lang.RuntimeException"
-                raise VMException(name, "thrown by {}".format(frame.method.ref))
-            elif op is Op.BINOP:
-                name, dst, a_reg, b_reg = insn.args
-                regs[dst] = self._binop(name, regs.get(a_reg), regs.get(b_reg))
-                pc += 1
-            elif op is Op.TRY_START:
-                handler_label = insn.args[0]
-                caught_class = insn.args[1] if len(insn.args) > 1 else "java.lang.Throwable"
-                handlers.append((handler_label, caught_class))
-                pc += 1
-            elif op is Op.TRY_END:
-                if handlers:
-                    handlers.pop()
-                pc += 1
-            elif op is Op.MOVE_EXCEPTION:
-                regs[insn.args[0]] = frame.caught_exception
-                pc += 1
-            else:  # pragma: no cover - the Op enum is closed
-                raise ExecutionError("unhandled opcode {}".format(op))
+        elif op is Op.GOTO:
+            pc = self._jump(labels, insn.args[0], frame)
+        elif op is Op.RETURN:
+            raise _FrameReturn(regs.get(insn.args[0]))
+        elif op is Op.RETURN_VOID:
+            raise _FrameReturn(None)
+        elif op is Op.THROW:
+            thrown = regs.get(insn.args[0])
+            name = thrown.class_name if isinstance(thrown, VMObject) else "java.lang.RuntimeException"
+            raise VMException(name, "thrown by {}".format(frame.method.ref))
+        elif op is Op.BINOP:
+            name, dst, a_reg, b_reg = insn.args
+            regs[dst] = self._binop(name, regs.get(a_reg), regs.get(b_reg))
+            pc += 1
+        elif op is Op.TRY_START:
+            handler_label = insn.args[0]
+            caught_class = insn.args[1] if len(insn.args) > 1 else "java.lang.Throwable"
+            handlers.append((handler_label, caught_class))
+            pc += 1
+        elif op is Op.TRY_END:
+            if handlers:
+                handlers.pop()
+            pc += 1
+        elif op is Op.MOVE_EXCEPTION:
+            regs[insn.args[0]] = frame.caught_exception
+            pc += 1
+        else:  # pragma: no cover - the Op enum is closed
+            raise ExecutionError("unhandled opcode {}".format(op))
         return pc
 
     def _find_handler(

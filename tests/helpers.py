@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.android import bytecode as bc
 from repro.android.apk import Apk
-from repro.android.builders import MethodBuilder, class_builder, empty_method
-from repro.android.dex import DexClass, DexFile
+from repro.android.builders import MethodBuilder, class_builder
+from repro.android.dex import DexFile
 from repro.android.manifest import (
     INTERNET,
     WRITE_EXTERNAL_STORAGE,

@@ -10,13 +10,11 @@ from repro.android.apk import (
     ApkFormatError,
 )
 from repro.android.builders import MethodBuilder, class_builder, empty_method
-from repro.android.bytecode import Cmp, FieldRef, Instruction, MethodRef, Op
+from repro.android.bytecode import Cmp, FieldRef, MethodRef, Op
 from repro.android.dex import (
     DexClass,
-    DexField,
     DexFile,
     DexFormatError,
-    DexMethod,
     is_dex_bytes,
     is_encrypted_dex_bytes,
 )

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.android.apk import APK_MAGIC, Apk, ApkFormatError, loadable_dex
 from repro.android.dex import DEX_MAGIC, DexFile, DexFormatError
+from repro.android.manifest import AndroidManifest, ManifestError
+from repro.android.nativelib import ELF_MAGIC, NativeFormatError, NativeLibrary
 from repro.dynamic.interceptor import InterceptedPayload, classify_payload
 from repro.ecosystems.hazards import container_package, payload_class_names
 from repro.service import JobSpec, SpecError
@@ -62,6 +64,26 @@ def test_deeply_nested_body_is_a_format_error():
     # a container whose DEX member nests too deeply defines nothing
     member = Apk(entries={"classes.dex": DEX_MAGIC + b"[" * 100_000})
     assert loadable_dex(member.to_bytes(), "/data/plugin.apk") is None
+
+
+def test_deeply_nested_manifest_is_a_manifest_error():
+    with pytest.raises(ManifestError):
+        AndroidManifest.from_bytes(b"[" * 100_000)
+
+
+@pytest.mark.parametrize("component", ["[]", '["activity"]', '["activity", "p.A"]'])
+def test_short_component_entry_is_a_manifest_error(component):
+    body = (
+        '{"package": "p", "version_code": 1, "min_sdk": 1, "target_sdk": 1,'
+        ' "permissions": [], "application_name": null, "components": [%s]}' % component
+    )
+    with pytest.raises(ManifestError):
+        AndroidManifest.from_bytes(body.encode())
+
+
+def test_deeply_nested_native_body_is_a_native_format_error():
+    with pytest.raises(NativeFormatError):
+        NativeLibrary.from_bytes(ELF_MAGIC + b"[" * 100_000)
 
 
 def test_well_formed_archive_still_round_trips():

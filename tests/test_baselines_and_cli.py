@@ -15,9 +15,7 @@ from repro.static_analysis.malware.families import (
     training_corpus,
 )
 
-from tests.helpers import build_manifest, downloads_and_loads_app
-from repro.android.apk import Apk
-from repro.android.dex import DexFile
+from tests.helpers import downloads_and_loads_app
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +60,18 @@ class TestRiskRankerBaseline:
         apk.enable_anti_decompilation()
         report = RiskRankerStatic(detector).analyze(apk)
         assert report.decompile_failed
+
+    @pytest.mark.parametrize("manifest", [
+        b"garbage",
+        b"[" * 100_000,
+        b'{"package": "p", "version_code": 1, "min_sdk": 1, "target_sdk": 1,'
+        b' "permissions": [], "application_name": null, "components": [[]]}',
+    ])
+    def test_malformed_manifest_is_unparseable(self, detector, manifest):
+        apk = downloads_and_loads_app()
+        apk.entries["AndroidManifest.xml"] = manifest
+        report = RiskRankerStatic(detector).analyze(apk)
+        assert report.package == "<unparseable>"
 
 
 class TestCrowdroidBaseline:

@@ -13,7 +13,6 @@ from repro.runtime.objects import VMException, VMObject
 from repro.runtime.vm import DalvikVM
 from repro.static_analysis.malware.families import swiss_code_monkeys_dex
 
-from tests.helpers import build_manifest
 
 
 def receiver_class(name, body=None, superclass="android.content.BroadcastReceiver"):

@@ -1,6 +1,5 @@
 """Tests for the call-graph builder and the reachability prefilter."""
 
-import pytest
 
 from repro.android.apk import Apk
 from repro.android.builders import MethodBuilder, class_builder

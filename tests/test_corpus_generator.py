@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from repro.corpus.behaviors import EnvGates, extract_url_constants
-from repro.corpus.generator import AppBlueprint, CorpusGenerator, generate_corpus
+from repro.corpus.behaviors import extract_url_constants
+from repro.corpus.generator import CorpusGenerator, generate_corpus
 from repro.corpus.metadata import CATEGORIES, sample_metadata
 from repro.corpus.profiles import CorpusProfile, FIG3_CATEGORY_WEIGHTS
-from repro.corpus.names import package_name
 from repro.static_analysis.decompiler import Decompiler
 from repro.static_analysis.malware import families
 from repro.static_analysis.prefilter import prefilter

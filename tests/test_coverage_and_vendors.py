@@ -1,10 +1,8 @@
 """Tests for fuzzing method coverage and packer-vendor attribution."""
 
-import pytest
 
 from repro.core.config import DyDroidConfig
 from repro.core.pipeline import DyDroid
-from repro.core.report import MeasurementReport
 from repro.corpus.generator import CorpusGenerator, generate_corpus
 from repro.dynamic.engine import AppExecutionEngine, EngineOptions
 from repro.static_analysis.decompiler import Decompiler

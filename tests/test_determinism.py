@@ -5,7 +5,6 @@ to end -- corpus synthesis, fuzzing schedules, dynamic execution, and the
 aggregated tables.  These tests pin that contract.
 """
 
-import pytest
 
 from repro.core.config import DyDroidConfig
 from repro.core.pipeline import DyDroid

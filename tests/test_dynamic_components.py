@@ -1,28 +1,22 @@
 """Tests for Monkey, DCL logger, interceptor, download tracker, provenance,
 and the App Execution Engine (including Table VIII environment replays)."""
 
-import pytest
 
 from repro.android.apk import Apk
 from repro.android.builders import MethodBuilder, class_builder
 from repro.android.dex import DexFile
 from repro.corpus.behaviors import EnvGates, emit_asset_to_file, emit_dex_load, emit_env_gates
-from repro.dynamic.dcl_logger import DclLogger
 from repro.dynamic.download_tracker import DownloadTracker
 from repro.dynamic.engine import AppExecutionEngine, DynamicOutcome, EngineOptions
-from repro.dynamic.interceptor import CodeInterceptor, PayloadKind, classify_payload
-from repro.dynamic.monkey import Monkey, MonkeyEvent, discover_handlers
+from repro.dynamic.interceptor import PayloadKind, classify_payload
+from repro.dynamic.monkey import Monkey, discover_handlers
 from repro.dynamic.provenance import Entity, Provenance, entity_of, provenance_of
 from repro.runtime.device import (
     BASELINE_CONFIG,
     TABLE_VIII_CONFIGS,
-    Device,
-    EnvironmentConfig,
 )
 from repro.runtime.instrumentation import DexLoadEvent, Instrumentation
-from repro.runtime.objects import VMObject
 from repro.runtime.stacktrace import StackTraceElement
-from repro.runtime.vm import DalvikVM
 
 from tests.helpers import (
     build_manifest,

@@ -8,8 +8,11 @@ mutate across lineages, and fall under firewall reach.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.android.apk import Apk
 from repro.core.config import DyDroidConfig
 from repro.core.pipeline import DyDroid
 from repro.corpus.generator import CorpusGenerator
@@ -133,6 +136,19 @@ class TestHazardDetection:
         assert container_package(asset) is not None
         assert container_package(asset) != record.package
         assert payload_class_names(asset) & record.apk.manifest.component_names()
+
+    def test_deeply_nested_plugin_manifest_still_analyzes(self, generator, planted):
+        record = generator.build_record(planted["plugin-host"])
+        pack = Apk.from_bytes(dict(record.apk.asset_entries())["assets/plugin_pack.apk"])
+        pack.entries["AndroidManifest.xml"] = b"[" * 100_000
+        apk = Apk(entries=dict(record.apk.entries))
+        apk.entries["assets/plugin_pack.apk"] = pack.to_bytes()
+        analysis = DyDroid(_config()).analyze_app(dataclasses.replace(record, apk=apk))
+        # the pack still loads, but without a package identity it hijacks
+        # nothing; the nesting no longer escapes as a RecursionError.
+        plugin = [p for p in analysis.payloads if p.path.endswith("plugin_pack.apk")]
+        assert plugin
+        assert all(HAZARD_PLUGIN_HIJACK not in p.hazards for p in plugin)
 
     def test_split_apk_collides_namespace_not_components(self, analyses):
         split_payloads = [

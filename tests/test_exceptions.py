@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.android import bytecode as bc
 from repro.android.apk import Apk
 from repro.android.builders import MethodBuilder, class_builder
 from repro.android.dex import DexFile

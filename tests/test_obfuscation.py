@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 
 from repro.android.apk import Apk
 from repro.android.builders import MethodBuilder, class_builder
@@ -121,7 +120,7 @@ class TestPackingDetector:
         apk = record.apk.clone()
         manifest = apk.manifest
         container = manifest.application_name
-        program = Decompiler().decompile(apk)
+        Decompiler().decompile(apk)
         # declare only components that are actually present:
         from repro.android.manifest import Component, ComponentKind
 

@@ -4,11 +4,8 @@ import pytest
 
 from repro.core.config import DyDroidConfig
 from repro.core.pipeline import DyDroid
-from repro.core.report import MeasurementReport
 from repro.corpus.generator import CorpusGenerator, generate_corpus
 from repro.dynamic.engine import DynamicOutcome
-from repro.dynamic.provenance import Entity
-from repro.static_analysis.malware import families
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 from repro.android.builders import MethodBuilder, class_builder
 from repro.android.dex import DexFile
 from repro.corpus.behaviors import privacy_payload_dex
-from repro.static_analysis.privacy.flowdroid import FlowDroid, analyze_dex
+from repro.static_analysis.privacy.flowdroid import analyze_dex
 from repro.static_analysis.privacy.sources import DATA_TYPES, api_source_for, uri_source_for
 
 import random

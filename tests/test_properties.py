@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.android import bytecode as bc
 from repro.android.builders import MethodBuilder, class_builder
-from repro.android.bytecode import Cmp, FieldRef, Instruction, MethodRef, Op
+from repro.android.bytecode import FieldRef, Instruction, MethodRef, Op
 from repro.android.dex import DexClass, DexFile, DexMethod
 from repro.android.manifest import AndroidManifest, Component, ComponentKind
 from repro.android.nativelib import NativeBlock, NativeFunction, NativeInsn, NativeLibrary, NativeOp

@@ -1,6 +1,5 @@
 """Unit tests for MeasurementReport aggregation over hand-built analyses."""
 
-import pytest
 
 from repro.core.report import AppAnalysis, MeasurementReport, PayloadVerdict
 from repro.corpus.metadata import AppMetadata

@@ -13,11 +13,9 @@ from repro.runtime.device import (
     DeviceConfig,
     EnvironmentConfig,
 )
-from repro.runtime.instrumentation import Instrumentation
 from repro.runtime.network import HttpNotFoundError, Network, NetworkUnavailableError
 from repro.runtime.objects import VMException, VMObject, as_bool, object_key, type_name
 from repro.runtime.stacktrace import StackTraceElement, call_site_class, render, shares_app_package
-from repro.runtime.vm import DalvikVM
 from repro.dynamic.engine import AppExecutionEngine, DynamicOutcome, EngineOptions
 
 from tests.helpers import build_manifest, simple_payload_dex

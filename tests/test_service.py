@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 from contextlib import contextmanager
 
 import pytest

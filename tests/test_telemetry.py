@@ -4,11 +4,18 @@ import json
 import math
 import os
 import random
+import signal
+import subprocess
+import sys
+import tempfile
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import DyDroidConfig
 from repro.farm import ChaosSpec, ShardJob, run_shard
@@ -22,7 +29,7 @@ from repro.farm.flight import (
     write_heartbeat,
 )
 from repro.observe import MetricsRegistry
-from repro.observe.events import EventLog, NULL_EVENT_LOG, load_events
+from repro.observe.events import EVENT_LEVELS, EventLog, NULL_EVENT_LOG, load_events
 from repro.observe.prom import (
     PromParseError,
     histogram_quantiles,
@@ -406,6 +413,111 @@ class TestFlightRecorder:
         beats = read_heartbeats(directory)
         assert set(beats) == {0, 1}
         assert os.path.exists(heartbeat_path(directory, 0))
+
+
+def span_dicts(first, count):
+    return [
+        {"name": "s{}".format(i), "span_id": i, "parent_id": 0, "ts": 0.5,
+         "dur": 0.25, "attrs": {"i": i}}
+        for i in range(first, first + count)
+    ]
+
+
+#: one step of a recorder's life: ``("emit", level, i)`` or ``("spans", n)``.
+flight_steps = st.lists(
+    st.tuples(st.just("emit"), st.sampled_from(sorted(EVENT_LEVELS)), st.integers(0, 99))
+    | st.tuples(st.just("spans"), st.integers(0, 40)),
+    max_size=40,
+)
+
+
+class TestFlightRing:
+    """The append-and-compact file reads back as an in-memory ring."""
+
+    @given(capacity=st.integers(1, 16), steps=flight_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_load_flight_matches_a_deque_model(self, capacity, steps):
+        with tempfile.TemporaryDirectory() as directory:
+            recorder = FlightRecorder(directory, shard_id=0, capacity=capacity)
+            path = flight_path(directory, 0)
+            model = deque(maxlen=capacity)
+            emitted = 0
+            for step in steps:
+                if step[0] == "emit":
+                    _, level, i = step
+                    recorder.emit("tick", level=level, i=i)
+                    model.append(("tick", level, {"i": i}))
+                    emitted += 1
+                else:
+                    spans = span_dicts(emitted, step[1])
+                    recorder.record_spans(spans)
+                    model.extend(
+                        ("span", "debug", dict(
+                            name_=s["name"], span_id=s["span_id"], parent_id=0,
+                            ts=s["ts"], dur=s["dur"], attrs=s["attrs"],
+                        ))
+                        for s in spans
+                    )
+                    emitted += len(spans)
+                records = load_flight(path)
+                assert [(r["name"], r["level"], r["fields"]) for r in records] == list(model)
+                assert [r["seq"] for r in records] == list(
+                    range(emitted - len(records), emitted)
+                )
+                # compaction bounds the file: header + fewer than 2N records.
+                assert len(load_events(path)) <= 2 * capacity
+                assert records == recorder.events.to_dicts()
+            recorder.close(keep=True)
+            assert os.path.exists(path) == bool(steps)
+
+    def test_first_record_creates_the_file_with_its_header(self, tmp_path):
+        recorder = FlightRecorder(str(tmp_path), shard_id=1, capacity=5)
+        path = flight_path(str(tmp_path), 1)
+        assert not os.path.exists(path)
+        recorder.emit("shard.started")
+        header, record = load_events(path)
+        assert header == {"kind": "header", "version": 1, "capacity": 5}
+        assert record["name"] == "shard.started"
+        recorder.close()
+        assert not os.path.exists(path)  # clean: deleted
+
+
+FLIGHT_CHILD = """
+import sys
+sys.path[:0] = [{src!r}]
+from repro.farm.flight import FlightRecorder
+recorder = FlightRecorder({directory!r}, shard_id=0, capacity={capacity})
+recorder.emit("started")
+print("ready", flush=True)
+span = {{"name": "s", "span_id": 1, "parent_id": 0, "ts": 0.0, "dur": 0.0,
+        "attrs": {{"pad": "y" * 4096}}}}
+i = 0
+while True:
+    recorder.emit("tick", i=i, pad="x" * 512)
+    recorder.record_spans([span] * (i % 9))
+    i += 1
+"""
+
+
+@pytest.mark.parametrize("seed, capacity", [(0, 1), (1, 7), (2, 64)])
+def test_sigkill_mid_emit_loop_leaves_a_readable_ring(tmp_path, seed, capacity):
+    src = os.path.dirname(os.path.dirname(sys.modules["repro"].__file__))
+    script = FLIGHT_CHILD.format(src=src, directory=str(tmp_path), capacity=capacity)
+    child = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True
+    )
+    try:
+        assert child.stdout.readline() == "ready\n"
+        time.sleep(random.Random(seed).uniform(0.02, 0.3))
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=60)
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    records = load_flight(flight_path(str(tmp_path), 0))
+    assert 1 <= len(records) <= capacity
+    seqs = [r["seq"] for r in records]
+    assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
 
 
 class TestStatusWriter:
